@@ -45,6 +45,15 @@ class AllocationResult:
         }
 
 
+def _budget(log_size: float, total: float) -> float:
+    """log_size clamped to [0, total]; the tolerance is relative because a sum
+    of n logs rounds by about n ulps."""
+    tol = BUDGET_TOL * max(1.0, total)
+    if log_size < -tol or log_size > total + tol:
+        raise ValueError(f"log size {log_size} outside [0, {total}]")
+    return min(max(log_size, 0.0), total)
+
+
 def theorem_bound(
     minorants,
     log_size: float | None = None,
@@ -65,10 +74,7 @@ def theorem_bound(
         if size < 1:
             raise ValueError(f"size must be a positive integer, got {size}")
         log_size = math.log(size)
-    total = sum(psi.domain_end for psi in minorants)
-    if log_size < -BUDGET_TOL or log_size > total + BUDGET_TOL:
-        raise ValueError(f"log size {log_size} outside [0, {total}]")
-    budget = min(max(log_size, 0.0), total)
+    budget = _budget(log_size, sum(psi.domain_end for psi in minorants))
 
     pieces = []
     for i, psi in enumerate(minorants):
@@ -102,11 +108,7 @@ def homogeneous_bound(psi: ConvexMinorant, n: int, log_size: float) -> float:
     n * psi(log_size / n)."""
     if n < 1:
         raise ValueError(f"need n >= 1 factors, got {n}")
-    total = n * psi.domain_end
-    if log_size < -BUDGET_TOL or log_size > total + BUDGET_TOL:
-        raise ValueError(f"log size {log_size} outside [0, {total}]")
-    budget = min(max(log_size, 0.0), total)
-    return n * psi.evaluate(budget / n)
+    return n * psi.evaluate(_budget(log_size, n * psi.domain_end) / n)
 
 
 @dataclass(frozen=True)

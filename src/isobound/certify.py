@@ -19,13 +19,12 @@ slab of the same size.  All certificate arithmetic is normalized per m^t.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .allocation import theorem_bound
 from .graphs import Graph, ProductSpec, cartesian_product
-from .minorants import ConvexMinorant, RegularSummary, build_minorant
-from .profiles import IsoProfile, min_boundary, profile_bruteforce
+from .minorants import ConvexMinorant, RegularSummary, build_minorants
+from .profiles import IsoProfile, min_boundary, resolve_profiles
 
 TIGHT_REL_TOL = 1e-9
 ALL_K_CAP = 20
@@ -83,12 +82,13 @@ def verify_theorem(
     ks=None,
     *,
     max_vertices: int | None = None,
-    threads: int = 1,
 ) -> VerificationReport:
     """Exhaustive truth vs allocation bound on a materialized product.
 
     With ks=None every size is checked, which requires at most ALL_K_CAP
     vertices; an explicit size list only needs the product to materialize.
+    Factor profiles come from resolve_profiles, so family factors of any size
+    use their closed form.
     """
     product = cartesian_product(spec, max_vertices=max_vertices)
     m = product.vertex_count
@@ -104,21 +104,15 @@ def verify_theorem(
         for k in ks:
             if not 1 <= k <= m:
                 raise ValueError(f"size {k} outside 1..{m}")
-    minorants = [build_minorant(profile_bruteforce(f)) for f in spec.factors]
-
-    def check(k: int) -> VerificationEntry:
+    minorants = build_minorants(resolve_profiles(spec.factors))
+    entries = []
+    for k in ks:
         truth, _ = min_boundary(product, k, max_vertices=m)
         bound = k * theorem_bound(minorants, math.log(k)).bound_per_vertex
         gap = truth - bound
         tight = abs(gap) <= TIGHT_REL_TOL * max(truth, 1.0)
-        return VerificationEntry(k, truth, bound, gap, tight)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = tuple(pool.map(check, ks))
-    else:
-        entries = tuple(check(k) for k in ks)
-    return VerificationReport(spec.label(), entries)
+        entries.append(VerificationEntry(k, truth, bound, gap, tight))
+    return VerificationReport(spec.label(), tuple(entries))
 
 
 @dataclass(frozen=True)

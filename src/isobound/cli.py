@@ -13,6 +13,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 
 from .allocation import theorem_bound
 from .certify import (
@@ -37,11 +38,10 @@ from .graphs import (
     ParseError,
     ProductSpec,
     cartesian_product,
-    family_of_label,
     parse_product_spec,
 )
-from .minorants import build_minorant, regular_summary
-from .profiles import IsoProfile, profile_bruteforce, profile_closed_form
+from .minorants import build_minorant, build_minorants, regular_summary
+from .profiles import IsoProfile, resolve_profiles
 
 GRAMMAR = (
     "SPEC := TERM (x TERM)*; TERM := ATOM | ATOM^K;"
@@ -82,34 +82,23 @@ def _emit_csv(header: list[str], rows) -> None:
         print(",".join(repr(c) if isinstance(c, float) else str(c) for c in row))
 
 
-def _factor_profile(g: Graph, exhaustive: bool = False, threads: int = 1) -> IsoProfile:
-    fam = family_of_label(g.label)
-    if fam is not None and not exhaustive:
-        return profile_closed_form(*fam)
-    return profile_bruteforce(g, threads=threads)
-
-
-def _target_graph_and_profile(args) -> tuple[Graph, IsoProfile, str]:
-    """Materialize the requested graph; single family atoms skip both the
-    product construction and the search when a closed-form profile applies."""
+def _target_graph_and_profile(args, exhaustive: bool = False) -> tuple[Graph, IsoProfile]:
+    """The requested graph and its profile; a single factor is used as is (no
+    vertex cap), so family atoms of any size take their closed form."""
     spec = parse_product_spec(args.spec)
-    exhaustive = getattr(args, "exhaustive", False)
-    threads = getattr(args, "threads", 1)
-    if len(spec.factors) == 1:
-        g = spec.factors[0]
-        return g, _factor_profile(g, exhaustive, threads), g.label
-    g = cartesian_product(spec)
-    return g, profile_bruteforce(g, threads=threads), spec.label()
+    g = spec.factors[0] if len(spec.factors) == 1 else cartesian_product(spec)
+    (prof,) = resolve_profiles([g], exhaustive)
+    return g, prof
 
 
 def _cmd_profile(args) -> int:
-    _, prof, label = _target_graph_and_profile(args)
+    g, prof = _target_graph_and_profile(args, args.exhaustive)
     if args.output == "csv":
         sys.stdout.write(prof.to_csv())
     elif args.output == "json":
         _emit_json(
             {
-                "graph": label,
+                "graph": g.label,
                 "vertex_count": prof.graph_size,
                 "profile": [
                     {
@@ -124,7 +113,7 @@ def _cmd_profile(args) -> int:
             }
         )
     else:
-        print(f"profile of {label} ({prof.graph_size} vertices)")
+        print(f"profile of {g.label} ({prof.graph_size} vertices)")
         for e in prof.entries:
             print(
                 f"  k={e.k} min_boundary={e.min_boundary}"
@@ -135,29 +124,20 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_minorant(args) -> int:
-    g, prof, label = _target_graph_and_profile(args)
+    g, prof = _target_graph_and_profile(args, args.exhaustive)
     psi = build_minorant(prof)
     summary = None
     if g.vertex_count >= 2 and g.is_regular() and g.is_connected():
         summary = regular_summary(g, prof)
     doc = psi.to_json_dict()
-    doc["graph"] = label
-    doc["regular_summary"] = (
-        None
-        if summary is None
-        else {
-            "degree": summary.degree,
-            "k_star": summary.k_star,
-            "y_intercept": summary.y_intercept,
-            "chord_slope": summary.chord_slope,
-        }
-    )
+    doc["graph"] = g.label
+    doc["regular_summary"] = None if summary is None else asdict(summary)
     if args.output == "json":
         _emit_json(doc)
     elif args.output == "csv":
         _emit_csv(["k", "x", "y"], [(b.k, b.x, b.y) for b in psi.breakpoints])
     else:
-        print(f"convex minorant of {label}: domain [0, {_fmt(psi.domain_end)}]")
+        print(f"convex minorant of {g.label}: domain [0, {_fmt(psi.domain_end)}]")
         for b in psi.breakpoints:
             print(f"  k={b.k} x={_fmt(b.x)} y={_fmt(b.y)}")
         if summary is not None:
@@ -172,7 +152,7 @@ def _cmd_minorant(args) -> int:
 def _closed_form_reports(spec: ProductSpec, factor_profiles, log_size, size) -> list[BoundReport]:
     factors = spec.factors
     n = len(factors)
-    fams = [family_of_label(f.label) for f in factors]
+    fams = [f.family for f in factors]
     same_family = fams[0] if all(fams) and len(set(fams)) == 1 else None
     total = (lambda v: None if size is None else size * v)
     reports: list[BoundReport] = []
@@ -206,9 +186,9 @@ def _closed_form_reports(spec: ProductSpec, factor_profiles, log_size, size) -> 
                 total(v),
             )
         )
-        if len(set(f.label for f in factors)) == 1 and factors[0].is_connected() and sizes[0] >= 2:
+        if all(f == factors[0] for f in factors) and factors[0].is_connected() and sizes[0] >= 2:
             base = factors[0]
-            summary = regular_summary(base, _factor_profile(base))
+            summary = regular_summary(base, factor_profiles[0])
             v = regular_power_bound(summary, base.vertex_count, n, log_size)
             reports.append(
                 BoundReport(
@@ -240,8 +220,8 @@ def _cmd_bound(args) -> int:
         print(f"error: --size must be positive, got {size}", file=sys.stderr)
         return 2
     log_size = math.log(size) if size is not None else parse_log_size(args.log_size)
-    factor_profiles = [_factor_profile(f) for f in spec.factors]
-    minorants = [build_minorant(p) for p in factor_profiles]
+    factor_profiles = resolve_profiles(spec.factors)
+    minorants = build_minorants(factor_profiles)
     if size is not None:
         result = theorem_bound(minorants, size=size)
     else:
@@ -284,7 +264,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec = parse_product_spec(args.spec)
-    fams = [family_of_label(f.label) for f in spec.factors]
+    fams = [f.family for f in spec.factors]
     if not all(fams) or len(set(fams)) != 1 or fams[0][0] not in ("path", "cycle"):
         print(
             "error: compare needs a homogeneous path:M^N or cycle:M^N spec",
@@ -337,7 +317,7 @@ def _cmd_verify(args) -> int:
         except ValueError:
             print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
             return 2
-    report = verify_theorem(spec, ks, threads=args.threads)
+    report = verify_theorem(spec, ks)
     if args.output == "json":
         _emit_json(report.to_json_dict())
     elif args.output == "csv":
@@ -361,7 +341,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify_q71(args) -> int:
-    g, prof, label = _target_graph_and_profile(args)
+    g, prof = _target_graph_and_profile(args)
     psi = build_minorant(prof)
     witness = q71_witness(g, prof, psi, args.power)
     if args.output == "json":
@@ -370,7 +350,7 @@ def _cmd_certify_q71(args) -> int:
         doc = witness.to_json_dict()
         _emit_csv(["key", "value"], sorted(doc.items()))
     else:
-        print(f"nonlinearity witness for {label}^{witness.power}")
+        print(f"nonlinearity witness for {g.label}^{witness.power}")
         for k, a, e in zip(witness.ks, witness.sizes, witness.exact_per_vertex):
             print(f"  size {a} (= {k}^{witness.power}): exact {_fmt(e)} per vertex")
         print(
@@ -386,7 +366,7 @@ def _cmd_certify_q72(args) -> int:
         print("error: certify-q72 takes a single base graph", file=sys.stderr)
         return 2
     g = spec.factors[0]
-    prof = _factor_profile(g, getattr(args, "exhaustive", False))
+    (prof,) = resolve_profiles([g])
     summary = regular_summary(g, prof)
     try:
         cert = q72_certificate(g, summary, args.eps_start)
@@ -445,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("profile", _cmd_profile, help="exact isoperimetric profile")
     p.add_argument("--exhaustive", action="store_true", help="force brute force over closed forms")
-    p.add_argument("--threads", type=int, default=1, help="parallel per-size searches")
 
     p = add("minorant", _cmd_minorant, help="convex minorant breakpoints")
     p.add_argument("--exhaustive", action="store_true", help="force brute force over closed forms")
@@ -459,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, help="exhaustive truth vs bound on a product")
     p.add_argument("--sizes", help="comma-separated sizes (default: all sizes)")
-    p.add_argument("--threads", type=int, default=1, help="parallel per-size searches")
 
     p = add("certify-q71", _cmd_certify_q71, help="nonlinearity witness for a power")
     p.add_argument("--power", type=int, required=True, help="the power n of the base graph")

@@ -17,7 +17,8 @@ DOMAIN_TOL = 1e-12
 
 
 def _check_range(log_size: float, total: float) -> float:
-    if log_size < -DOMAIN_TOL or log_size > total + DOMAIN_TOL:
+    tol = DOMAIN_TOL * max(1.0, total)  # relative: a sum of n logs rounds by ~n ulps
+    if log_size < -tol or log_size > total + tol:
         raise ValueError(f"log size {log_size} outside [0, {total}]")
     return min(max(log_size, 0.0), total)
 

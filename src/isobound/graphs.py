@@ -3,6 +3,12 @@
 Vertices are always 0..m-1.  Product graphs use mixed-radix vertex encoding
 with the first factor most significant, so the index of (v_1, ..., v_n) is
 ((v_1 * m_2 + v_2) * m_3 + v_3) * ... .
+
+Graph.family is (name, m) for a graph built by generate(name, m) and None for
+everything else (products, files, petersen).  It is the only way the rest of
+the package recognizes a named family: labels are for display.  FAMILIES is
+the one table of named families, their minimum sizes, edges and known
+minimum edge boundaries.
 """
 
 from __future__ import annotations
@@ -10,13 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 DEFAULT_MAX_VERTICES = 1 << 20
 MAX_VERTICES_ENV = "ISOBOUND_MAX_VERTICES"
-
-FAMILIES = ("complete", "path", "cycle")
 
 
 class ParseError(ValueError):
@@ -48,6 +53,7 @@ class Graph:
     vertex_count: int
     adjacency: tuple[tuple[int, ...], ...]
     label: str = "graph"
+    family: tuple[str, int] | None = None  # (name, m) when built by generate
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges, label: str = "graph") -> "Graph":
@@ -167,23 +173,45 @@ class ProductSpec:
         return " x ".join(parts)
 
 
+@dataclass(frozen=True)
+class Family:
+    noun: str  # for error messages
+    min_size: int
+    edges: Callable[[int], list[tuple[int, int]]]
+    boundary: Callable[[int, int], int]  # (m, k) -> minimum boundary of a k-set
+
+
+FAMILIES = {
+    "complete": Family(
+        "complete graph", 1, lambda m: [(u, v) for u in range(m) for v in range(u + 1, m)],
+        lambda m, k: k * (m - k),
+    ),
+    "path": Family(
+        "path", 1, lambda m: [(v, v + 1) for v in range(m - 1)], lambda m, k: 1 if k < m else 0
+    ),
+    "cycle": Family(
+        "cycle", 3, lambda m: [(v, (v + 1) % m) for v in range(m)], lambda m, k: 2 if k < m else 0
+    ),
+}
+
+
+def family_entry(name: str, m: int) -> Family:
+    """The table entry for name, checked against its minimum size."""
+    family = FAMILIES.get(name)
+    if family is None:
+        raise ValueError(
+            f"unknown family {name!r} (no graph or closed-form profile);"
+            f" expected one of {tuple(FAMILIES)}"
+        )
+    if m < family.min_size:
+        raise ValueError(f"{family.noun} needs m >= {family.min_size}, got {m}")
+    return family
+
+
 def generate(family: str, m: int) -> Graph:
     """One of the named families on m vertices."""
-    if family == "complete":
-        if m < 1:
-            raise ValueError(f"complete graph needs m >= 1, got {m}")
-        edges = [(u, v) for u in range(m) for v in range(u + 1, m)]
-    elif family == "path":
-        if m < 1:
-            raise ValueError(f"path needs m >= 1, got {m}")
-        edges = [(v, v + 1) for v in range(m - 1)]
-    elif family == "cycle":
-        if m < 3:
-            raise ValueError(f"cycle needs m >= 3, got {m}")
-        edges = [(v, (v + 1) % m) for v in range(m)]
-    else:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return Graph.from_edges(m, edges, label=f"{family}:{m}")
+    g = Graph.from_edges(m, family_entry(family, m).edges(m), label=f"{family}:{m}")
+    return replace(g, family=(family, m))
 
 
 def petersen() -> Graph:
@@ -194,14 +222,6 @@ def petersen() -> Graph:
         edges.append((i, i + 5))
         edges.append((5 + i, 5 + (i + 2) % 5))
     return Graph.from_edges(10, edges, label="petersen")
-
-
-def family_of_label(label: str) -> tuple[str, int] | None:
-    """Inverse of generate()'s labelling, None for anything else."""
-    name, sep, arg = label.partition(":")
-    if sep and name in FAMILIES and arg.isdigit():
-        return name, int(arg)
-    return None
 
 
 def parse_graph(text: str, label: str = "file") -> Graph:
@@ -254,7 +274,7 @@ def _parse_atom(token: str) -> Graph:
             raise ParseError(f"cannot read graph file {arg!r}: {exc}") from None
         return parse_graph(text, label=token)
     if name not in FAMILIES:
-        raise ParseError(f"unknown family {name!r}; expected one of {FAMILIES} or file")
+        raise ParseError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)} or file")
     if not arg.isdigit():
         raise ParseError(f"bad size {arg!r} in {token!r}")
     return generate(name, int(arg))

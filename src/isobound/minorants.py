@@ -64,13 +64,7 @@ class ConvexMinorant:
     def segments(self) -> tuple[tuple[float, float], ...]:
         """(slope, width) per linear piece, left to right."""
         bps = self.breakpoints
-        return tuple(
-            (
-                (bps[j + 1].y - bps[j].y) / (bps[j + 1].x - bps[j].x),
-                bps[j + 1].x - bps[j].x,
-            )
-            for j in range(len(bps) - 1)
-        )
+        return tuple(zip(self.slopes(), (b.x - a.x for a, b in zip(bps, bps[1:]))))
 
     def one_sided_derivatives(self, x: float) -> tuple[float, float]:
         """(left, right) derivative; -inf sentinel at 0, right derivative 0 at
@@ -125,6 +119,17 @@ def build_minorant(profile: IsoProfile) -> ConvexMinorant:
         domain_end=math.log(profile.graph_size),
         breakpoints=tuple(Breakpoint(k, x, y) for k, x, y in hull),
     )
+
+
+def build_minorants(profiles) -> tuple[ConvexMinorant, ...]:
+    """build_minorant per profile; repeats of one profile object (as
+    resolve_profiles returns for repeated factors) share one minorant."""
+    profiles = tuple(profiles)
+    built: dict[int, ConvexMinorant] = {}
+    for p in profiles:
+        if id(p) not in built:
+            built[id(p)] = build_minorant(p)
+    return tuple(built[id(p)] for p in profiles)
 
 
 @dataclass(frozen=True)

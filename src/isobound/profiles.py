@@ -10,16 +10,19 @@ branch-and-bound variant prunes partial sets whose crossing count minus the
 best possible future cancellation (from residual degrees within the candidate
 pool) cannot beat the incumbent; it visits subsets in the same order, so the
 canonical witness is unchanged.
+
+resolve_profiles is the one place that chooses between the two: family graphs
+(Graph.family set) take the closed form, everything else is searched, and
+each distinct graph is solved once.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
-from .graphs import CapExceededError, Graph, VertexSet
+from .graphs import CapExceededError, Graph, VertexSet, family_entry
 
 EXHAUSTIVE_CAP = 20
 PRUNED_CAP = 30
@@ -141,45 +144,40 @@ def profile_bruteforce(
     *,
     prune: bool | None = None,
     max_vertices: int | None = None,
-    threads: int = 1,
 ) -> IsoProfile:
     """Full profile k = 1..m; each size is an independent search."""
     m = g.vertex_count
     use_prune = _check_cap(m, prune, max_vertices)
-
-    def solve(k: int) -> ProfileEntry:
+    entries = []
+    for k in range(1, m + 1):
         value, mask = _search(g, k, use_prune)
-        return ProfileEntry(k, value, Fraction(value, k), VertexSet(mask, k))
-
-    ks = range(1, m + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = tuple(pool.map(solve, ks))
-    else:
-        entries = tuple(solve(k) for k in ks)
-    return IsoProfile(m, entries)
+        entries.append(ProfileEntry(k, value, Fraction(value, k), VertexSet(mask, k)))
+    return IsoProfile(m, tuple(entries))
 
 
 def profile_closed_form(family: str, m: int) -> IsoProfile:
     """Known families without search: i_k(K_m) = m - k, i_k(P_m) = 1/k,
     i_k(C_m) = 2/k (all for k < m; i_m = 0).  Witnesses are prefixes, which
     are also the lexicographically smallest minimizers."""
+    boundary = family_entry(family, m).boundary
     entries = []
     for k in range(1, m + 1):
-        if family == "complete":
-            if m < 1:
-                raise ValueError(f"complete graph needs m >= 1, got {m}")
-            boundary = k * (m - k)
-        elif family == "path":
-            if m < 1:
-                raise ValueError(f"path needs m >= 1, got {m}")
-            boundary = 1 if k < m else 0
-        elif family == "cycle":
-            if m < 3:
-                raise ValueError(f"cycle needs m >= 3, got {m}")
-            boundary = 2 if k < m else 0
-        else:
-            raise ValueError(f"no closed-form profile for family {family!r}")
-        witness = VertexSet((1 << k) - 1, k)
-        entries.append(ProfileEntry(k, boundary, Fraction(boundary, k), witness))
+        b = boundary(m, k)
+        entries.append(ProfileEntry(k, b, Fraction(b, k), VertexSet((1 << k) - 1, k)))
     return IsoProfile(m, tuple(entries))
+
+
+def resolve_profiles(graphs, exhaustive: bool = False) -> tuple[IsoProfile, ...]:
+    """One profile per graph, each distinct graph solved once: the closed form
+    for family graphs unless exhaustive, otherwise profile_bruteforce.  Equal
+    graphs share one IsoProfile object."""
+    graphs = tuple(graphs)
+    keys = [g.family or g for g in graphs]  # family graphs key by (name, m): no adjacency hash
+    solved: dict = {}
+    for g, key in zip(graphs, keys):
+        if key not in solved:
+            if g.family is not None and not exhaustive:
+                solved[key] = profile_closed_form(*g.family)
+            else:
+                solved[key] = profile_bruteforce(g)
+    return tuple(solved[key] for key in keys)

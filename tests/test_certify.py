@@ -64,10 +64,6 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError, match="outside"):
             verify_theorem(parse_product_spec("path:3^2"), ks=[10])
 
-    def test_threads_match_serial(self):
-        spec = parse_product_spec("path:3 x path:4")
-        assert verify_theorem(spec, threads=4) == verify_theorem(spec)
-
     def test_description_is_label(self):
         report = verify_theorem(parse_product_spec("complete:2^3"))
         assert report.description == "complete:2^3"

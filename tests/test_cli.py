@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import isobound
+from isobound import minorants, profiles
 from isobound.cli import parse_log_size, run
 from isobound.graphs import MAX_VERTICES_ENV, ParseError
 
@@ -146,6 +150,17 @@ class TestBoundCommand:
         assert run(["bound", "path:3", "--size", "4"]) == 2
         assert "outside" in capsys.readouterr().err
 
+    def test_whole_product_of_many_factors(self, capsys):
+        # log(5) * 200 exceeds the 200-term sum of log(5) by ~1e-12: rounding,
+        # not an out-of-range size, so the tolerance scales with the total
+        assert run(["bound", "cycle:5^200", "--log-size", "200*log(5)", "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # the greedy allocation's running budget drifts by ~1e-12 over 200 factors
+        assert doc["theorem"]["bound_per_vertex"] == pytest.approx(0.0, abs=1e-9)
+        families = [r["family"] for r in doc["closed_forms"]]
+        assert families == ["torus", "regular_product", "regular_power", "connected_regular"]
+        assert all(r["bound_per_vertex"] == 0.0 for r in doc["closed_forms"])
+
 
 class TestCompareCommand:
     def test_csv_table(self, capsys):
@@ -200,6 +215,11 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert [e["k"] for e in doc["entries"]] == [1, 3, 9, 27]
 
+    def test_family_factor_above_search_cap(self, capsys):
+        # path:40 has no exhaustive profile; its closed form stands in
+        assert run(["verify", "path:40 x path:2", "--sizes", "1", "--output", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "1,2,2.0,0.0,True"
+
     def test_bad_sizes(self, capsys):
         assert run(["verify", "path:3^2", "--sizes", "1,x"]) == 2
         assert "bad --sizes" in capsys.readouterr().err
@@ -250,6 +270,50 @@ class TestCertifyQ72Command:
         assert "counterexample" in capsys.readouterr().out
 
 
+class TestDistinctFactors:
+    """Each distinct factor is solved once per command, family factors never
+    by search."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        calls = []
+        original = profiles.profile_bruteforce
+
+        def counting(g, **kwargs):
+            calls.append(g.vertex_count)
+            return original(g, **kwargs)
+
+        monkeypatch.setattr(profiles, "profile_bruteforce", counting)
+        return calls
+
+    def test_repeated_file_factor_searched_once(self, tmp_path, searched, capsys):
+        p = tmp_path / "g.txt"
+        p.write_text("13\n" + "".join(f"{v} {v + 1}\n" for v in range(12)) + "0 12\n0 6\n")
+        assert run(["bound", f"file:{p}^4", "--size", "100"]) == 0
+        assert searched == [13]
+
+    @pytest.mark.parametrize("spec", ["complete:2^15", "path:13^4"])
+    def test_family_factors_never_searched(self, spec, searched, capsys):
+        assert run(["verify", spec, "--sizes", "1"]) == 0
+        assert searched == []
+
+    def test_exhaustive_forces_search(self, searched, capsys):
+        assert run(["profile", "cycle:6", "--exhaustive"]) == 0
+        assert searched == [6]
+
+    def test_repeated_factor_builds_one_minorant(self, monkeypatch, capsys):
+        built = []
+        original = minorants.build_minorant
+
+        def counting(profile):
+            built.append(profile.graph_size)
+            return original(profile)
+
+        monkeypatch.setattr(minorants, "build_minorant", counting)
+        assert run(["bound", "cycle:8^200 x path:3", "--log-size", "10"]) == 0
+        assert built == [8, 3]
+
+
 class TestTopLevel:
     def test_bad_spec_prints_grammar(self, capsys):
         assert run(["profile", "path:3 y cycle:4"]) == 2
@@ -280,10 +344,14 @@ class TestTopLevel:
 
 class TestInstalledEntryPoints:
     def test_module_invocation(self):
+        # the child imports the same isobound as this process, installed or not
+        src = str(Path(isobound.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "isobound.cli", "profile", "path:4", "--output", "csv"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout == PATH4_CSV

@@ -17,7 +17,7 @@ from isobound import (
     petersen,
     product_vertex_set,
 )
-from isobound.graphs import MAX_VERTICES_ENV, family_of_label
+from isobound.graphs import MAX_VERTICES_ENV
 
 from oracles import boundary_by_recount
 
@@ -60,9 +60,12 @@ class TestGenerate:
             generate("star", 5)
 
     def test_labels_round_trip(self):
-        assert family_of_label(generate("path", 7).label) == ("path", 7)
-        assert family_of_label("petersen") is None
-        assert family_of_label("file:/tmp/g.txt") is None
+        g = generate("path", 7)
+        assert g.label == "path:7"
+        assert g.family == ("path", 7)
+        assert petersen().family is None
+        assert parse_graph("2\n0 1\n").family is None
+        assert cartesian_product(parse_product_spec("path:2^2")).family is None
 
 
 class TestPetersen:

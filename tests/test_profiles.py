@@ -50,6 +50,15 @@ class TestClosedFormAgainstBruteForce:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="closed-form"):
             profile_closed_form("star", 5)
+        # validated up front, not per size, so empty size ranges are refused too
+        with pytest.raises(ValueError, match="closed-form"):
+            profile_closed_form("star", 0)
+        with pytest.raises(ValueError, match="complete graph needs m >= 1"):
+            profile_closed_form("complete", 0)
+        with pytest.raises(ValueError, match="path needs m >= 1"):
+            profile_closed_form("path", 0)
+        with pytest.raises(ValueError, match="cycle needs m >= 3"):
+            profile_closed_form("cycle", 2)
 
 
 class TestMinBoundary:
@@ -169,10 +178,6 @@ class TestProfileContainer:
         assert VertexSet.from_hex(wit).members() == (0,)
         k, b, num, den, wit = lines[3].split(",")
         assert (k, b, num, den) == ("3", "2", "2", "3")
-
-    def test_threaded_matches_serial(self):
-        g = petersen()
-        assert profile_bruteforce(g, threads=4) == profile_bruteforce(g)
 
 
 class TestHypercube:
