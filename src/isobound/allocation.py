@@ -46,12 +46,14 @@ class AllocationResult:
 
 
 def _budget(log_size: float, total: float) -> float:
-    """log_size clamped to [0, total]; the tolerance is relative because a sum
-    of n logs rounds by about n ulps."""
+    """log_size clamped to [0, total].  The tolerance is relative because a
+    sum of n logs rounds by about n ulps, either way: within it of total the
+    set is the whole product, so the budget snaps to total.  Snapping up is
+    sound, since every minorant decreases."""
     tol = BUDGET_TOL * max(1.0, total)
     if log_size < -tol or log_size > total + tol:
         raise ValueError(f"log size {log_size} outside [0, {total}]")
-    return min(max(log_size, 0.0), total)
+    return total if log_size >= total - tol else max(log_size, 0.0)
 
 
 def theorem_bound(
@@ -74,7 +76,21 @@ def theorem_bound(
         if size < 1:
             raise ValueError(f"size must be a positive integer, got {size}")
         log_size = math.log(size)
-    budget = _budget(log_size, sum(psi.domain_end for psi in minorants))
+    total = sum(psi.domain_end for psi in minorants)
+    budget = _budget(log_size, total)
+    if size is not None:
+        # every minorant ends at its breakpoint k = m: the exact vertex count
+        vertices = math.prod(psi.breakpoints[-1].k for psi in minorants)
+        if size > vertices:
+            raise ValueError(f"size {size} exceeds the product's {vertices} vertices")
+        if size == vertices:
+            budget = total
+    if budget == total:
+        # The whole product has no boundary.  Decided here, not by the greedy
+        # loop, whose running budget drifts by rounding and would leave a
+        # positive value that size * value turns into a huge unsound total.
+        h = tuple(psi.domain_end for psi in minorants)
+        return AllocationResult(log_size, h, 0.0, None if size is None else 0.0)
 
     pieces = []
     for i, psi in enumerate(minorants):
@@ -108,7 +124,9 @@ def homogeneous_bound(psi: ConvexMinorant, n: int, log_size: float) -> float:
     n * psi(log_size / n)."""
     if n < 1:
         raise ValueError(f"need n >= 1 factors, got {n}")
-    return n * psi.evaluate(_budget(log_size, n * psi.domain_end) / n)
+    budget = _budget(log_size, n * psi.domain_end)
+    # the whole product exactly: (n * d) / n may round below d
+    return 0.0 if budget == n * psi.domain_end else n * psi.evaluate(budget / n)
 
 
 @dataclass(frozen=True)

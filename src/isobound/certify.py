@@ -108,7 +108,7 @@ def verify_theorem(
     entries = []
     for k in ks:
         truth, _ = min_boundary(product, k, max_vertices=m)
-        bound = k * theorem_bound(minorants, math.log(k)).bound_per_vertex
+        bound = theorem_bound(minorants, size=k).bound_total
         gap = truth - bound
         tight = abs(gap) <= TIGHT_REL_TOL * max(truth, 1.0)
         entries.append(VerificationEntry(k, truth, bound, gap, tight))

@@ -154,59 +154,41 @@ def _closed_form_reports(spec: ProductSpec, factor_profiles, log_size, size) -> 
     n = len(factors)
     fams = [f.family for f in factors]
     same_family = fams[0] if all(fams) and len(set(fams)) == 1 else None
-    total = (lambda v: None if size is None else size * v)
+    # The whole product has no boundary.  The formulas reach 0 there only up
+    # to rounding, which size * v would turn into a huge unsound total.
+    whole = size is not None and size == math.prod(f.vertex_count for f in factors)
     reports: list[BoundReport] = []
+
+    def add(family, params, v, bl=None):
+        v = 0.0 if whole else v
+        total = None if size is None else size * v
+        ratio = None if bl is None or v <= 0 else bl / v
+        comparison = None if bl is None else {"bl_per_vertex": bl, "ratio": ratio}
+        reports.append(BoundReport(family, params, v, total, comparison))
+
     if same_family is not None:
         fam, m = same_family
         if fam == "complete" and m >= 2:
-            v = hamming_bound(n, m, log_size)
-            reports.append(BoundReport("hamming", {"n": n, "m": m}, v, total(v)))
+            add("hamming", {"n": n, "m": m}, hamming_bound(n, m, log_size))
         elif fam in ("path", "cycle") and m >= 3:
             torus = fam == "cycle"
             v = torus_bound(n, m, log_size) if torus else grid_bound(n, m, log_size)
             bl = bl_bound(n, m, log_size, torus=torus)
-            comparison = {
-                "bl_per_vertex": bl,
-                "ratio": None if v <= 0 else bl / v,
-            }
-            reports.append(
-                BoundReport(
-                    "torus" if torus else "grid", {"n": n, "m": m}, v, total(v), comparison
-                )
-            )
+            add("torus" if torus else "grid", {"n": n, "m": m}, v, bl)
     if all(f.is_regular() and f.degrees[0] >= 1 for f in factors):
         degrees = [f.degrees[0] for f in factors]
         sizes = [f.vertex_count for f in factors]
         v = regular_product_bound(degrees, sizes, log_size)
-        reports.append(
-            BoundReport(
-                "regular_product",
-                {"degrees": degrees, "sizes": sizes},
-                v,
-                total(v),
-            )
-        )
+        add("regular_product", {"degrees": degrees, "sizes": sizes}, v)
         if all(f == factors[0] for f in factors) and factors[0].is_connected() and sizes[0] >= 2:
-            base = factors[0]
-            summary = regular_summary(base, factor_profiles[0])
-            v = regular_power_bound(summary, base.vertex_count, n, log_size)
-            reports.append(
-                BoundReport(
-                    "regular_power",
-                    {
-                        "n": n,
-                        "m": base.vertex_count,
-                        "k_star": summary.k_star,
-                        "y_intercept": summary.y_intercept,
-                    },
-                    v,
-                    total(v),
-                )
-            )
+            m = factors[0].vertex_count
+            summary = regular_summary(factors[0], factor_profiles[0])
+            v = regular_power_bound(summary, m, n, log_size)
+            params = {"n": n, "m": m, "k_star": summary.k_star, "y_intercept": summary.y_intercept}
+            add("regular_power", params, v)
     if all(f.is_connected() and f.vertex_count >= 2 for f in factors):
         sizes = [f.vertex_count for f in factors]
-        v = connected_regular_bound(sizes, log_size)
-        reports.append(BoundReport("connected_regular", {"sizes": sizes}, v, total(v)))
+        add("connected_regular", {"sizes": sizes}, connected_regular_bound(sizes, log_size))
     return reports
 
 
@@ -222,10 +204,7 @@ def _cmd_bound(args) -> int:
     log_size = math.log(size) if size is not None else parse_log_size(args.log_size)
     factor_profiles = resolve_profiles(spec.factors)
     minorants = build_minorants(factor_profiles)
-    if size is not None:
-        result = theorem_bound(minorants, size=size)
-    else:
-        result = theorem_bound(minorants, log_size)
+    result = theorem_bound(minorants, log_size if size is None else None, size=size)
     reports = _closed_form_reports(spec, factor_profiles, log_size, size)
     if args.output == "json":
         _emit_json(
@@ -266,10 +245,7 @@ def _cmd_compare(args) -> int:
     spec = parse_product_spec(args.spec)
     fams = [f.family for f in spec.factors]
     if not all(fams) or len(set(fams)) != 1 or fams[0][0] not in ("path", "cycle"):
-        print(
-            "error: compare needs a homogeneous path:M^N or cycle:M^N spec",
-            file=sys.stderr,
-        )
+        print("error: compare needs a homogeneous path:M^N or cycle:M^N spec", file=sys.stderr)
         return 2
     fam, m = fams[0]
     if m < 3:
@@ -297,14 +273,12 @@ def _cmd_compare(args) -> int:
                 ],
             }
         )
-    else:
-        # csv is the canonical format here; human output shows the same table
-        if args.output == "csv":
-            _emit_csv(["log_size", "ours", "bl", "ratio"], rows)
-        else:
-            print(f"{'log_size':>14} {'ours':>14} {'bl':>14} {'ratio':>10}")
-            for x, o, b, r in rows:
-                print(f"{x:14.6f} {o:14.6f} {b:14.6f} {r:10.6f}")
+    elif args.output == "csv":
+        _emit_csv(["log_size", "ours", "bl", "ratio"], rows)
+    else:  # human output shows the csv table, aligned
+        print(f"{'log_size':>14} {'ours':>14} {'bl':>14} {'ratio':>10}")
+        for x, o, b, r in rows:
+            print(f"{x:14.6f} {o:14.6f} {b:14.6f} {r:10.6f}")
     return 0
 
 

@@ -122,8 +122,8 @@ def build_minorant(profile: IsoProfile) -> ConvexMinorant:
 
 
 def build_minorants(profiles) -> tuple[ConvexMinorant, ...]:
-    """build_minorant per profile; repeats of one profile object (as
-    resolve_profiles returns for repeated factors) share one minorant."""
+    """build_minorant per profile; repeats of one profile object share one
+    minorant.  resolve_profiles guarantees such repeats for equal factors."""
     profiles = tuple(profiles)
     built: dict[int, ConvexMinorant] = {}
     for p in profiles:

@@ -169,8 +169,10 @@ def profile_closed_form(family: str, m: int) -> IsoProfile:
 
 def resolve_profiles(graphs, exhaustive: bool = False) -> tuple[IsoProfile, ...]:
     """One profile per graph, each distinct graph solved once: the closed form
-    for family graphs unless exhaustive, otherwise profile_bruteforce.  Equal
-    graphs share one IsoProfile object."""
+    for family graphs unless exhaustive, otherwise profile_bruteforce.
+
+    Contract: equal graphs map to the identical IsoProfile object, so callers
+    (build_minorants) can deduplicate by identity without hashing profiles."""
     graphs = tuple(graphs)
     keys = [g.family or g for g in graphs]  # family graphs key by (name, m): no adjacency hash
     solved: dict = {}

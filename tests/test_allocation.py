@@ -67,6 +67,24 @@ class TestTheoremBound:
         assert result.bound_per_vertex == pytest.approx(0.0, abs=1e-12)
         assert sum(result.allocation) == pytest.approx(total, abs=1e-12)
 
+    @pytest.mark.parametrize("family,m,n", [("cycle", 5, 200), ("complete", 2, 80), ("complete", 3, 61)])
+    def test_whole_product_is_exactly_zero(self, family, m, n):
+        # the greedy loop's running budget drifts by rounding over n factors
+        # and log(m^n) differs from the n-term sum either way; any positive
+        # residue times m^n vertices would be an unsound total
+        minorants = [family_minorant(family, m)] * n
+        total = sum(psi.domain_end for psi in minorants)
+        by_size = theorem_bound(minorants, size=m**n)
+        assert by_size.bound_per_vertex == 0.0 and by_size.bound_total == 0.0
+        assert by_size.allocation == (minorants[0].domain_end,) * n
+        assert theorem_bound(minorants, total).bound_per_vertex == 0.0
+        assert homogeneous_bound(minorants[0], n, total) == 0.0
+
+    def test_size_beyond_product_refused(self):
+        minorants = [family_minorant("complete", 2)] * 80
+        with pytest.raises(ValueError, match="exceeds the product's"):
+            theorem_bound(minorants, size=2**80 + 1)
+
     def test_mixed_pair_golden(self):
         minorants = [family_minorant("path", 5), family_minorant("cycle", 4)]
         result = theorem_bound(minorants, math.log(4))

@@ -155,11 +155,28 @@ class TestBoundCommand:
         # not an out-of-range size, so the tolerance scales with the total
         assert run(["bound", "cycle:5^200", "--log-size", "200*log(5)", "--output", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        # the greedy allocation's running budget drifts by ~1e-12 over 200 factors
-        assert doc["theorem"]["bound_per_vertex"] == pytest.approx(0.0, abs=1e-9)
+        assert doc["theorem"]["bound_per_vertex"] == 0.0
         families = [r["family"] for r in doc["closed_forms"]]
         assert families == ["torus", "regular_product", "regular_power", "connected_regular"]
         assert all(r["bound_per_vertex"] == 0.0 for r in doc["closed_forms"])
+
+    @pytest.mark.parametrize(
+        "spec,size",
+        [("cycle:5^200", 5**200), ("complete:3^100", 3**100), ("cycle:8^200 x path:3", 3 * 8**200)],
+    )
+    def test_whole_product_size_is_exactly_zero(self, spec, size, capsys):
+        # log(size) and the sum of factor logs differ by rounding; any positive
+        # residue times a size this large would be an unsound total
+        assert run(["bound", spec, "--size", str(size), "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        bounds = [doc["theorem"]] + doc["closed_forms"]
+        assert all(b["bound_per_vertex"] == 0.0 and b["bound_total"] == 0.0 for b in bounds)
+
+    def test_size_beyond_product_refused(self, capsys):
+        # log(2^80 + 1) rounds below the sum of 80 logs, so only the exact
+        # vertex count can refuse it
+        assert run(["bound", "complete:2^80", "--size", str(2**80 + 1)]) == 2
+        assert "exceeds the product's" in capsys.readouterr().err
 
 
 class TestCompareCommand:
@@ -276,30 +293,33 @@ class TestDistinctFactors:
 
     @pytest.fixture
     def searched(self, monkeypatch):
+        # Every search, of a factor or of a verified product, goes through
+        # profiles._search, whichever name its caller imported; record the
+        # vertex count of each searched graph.
         calls = []
-        original = profiles.profile_bruteforce
+        original = profiles._search
 
-        def counting(g, **kwargs):
+        def counting(g, k, prune):
             calls.append(g.vertex_count)
-            return original(g, **kwargs)
+            return original(g, k, prune)
 
-        monkeypatch.setattr(profiles, "profile_bruteforce", counting)
+        monkeypatch.setattr(profiles, "_search", counting)
         return calls
 
     def test_repeated_file_factor_searched_once(self, tmp_path, searched, capsys):
         p = tmp_path / "g.txt"
         p.write_text("13\n" + "".join(f"{v} {v + 1}\n" for v in range(12)) + "0 12\n0 6\n")
         assert run(["bound", f"file:{p}^4", "--size", "100"]) == 0
-        assert searched == [13]
+        assert searched == [13] * 13  # one profile: sizes k = 1..13 of one graph
 
-    @pytest.mark.parametrize("spec", ["complete:2^15", "path:13^4"])
-    def test_family_factors_never_searched(self, spec, searched, capsys):
+    @pytest.mark.parametrize("spec,vertices", [("complete:2^15", 2**15), ("path:13^4", 13**4)])
+    def test_family_factors_never_searched(self, spec, vertices, searched, capsys):
         assert run(["verify", spec, "--sizes", "1"]) == 0
-        assert searched == []
+        assert searched == [vertices]  # only the product's true minimum at k = 1
 
     def test_exhaustive_forces_search(self, searched, capsys):
         assert run(["profile", "cycle:6", "--exhaustive"]) == 0
-        assert searched == [6]
+        assert searched == [6] * 6
 
     def test_repeated_factor_builds_one_minorant(self, monkeypatch, capsys):
         built = []

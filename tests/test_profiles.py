@@ -16,6 +16,7 @@ from isobound import (
     profile_bruteforce,
     profile_closed_form,
 )
+from isobound.profiles import resolve_profiles
 
 PETERSEN_BOUNDARIES = (3, 4, 5, 6, 5, 6, 5, 4, 3, 0)
 
@@ -59,6 +60,31 @@ class TestClosedFormAgainstBruteForce:
             profile_closed_form("path", 0)
         with pytest.raises(ValueError, match="cycle needs m >= 3"):
             profile_closed_form("cycle", 2)
+
+
+class TestResolveProfiles:
+    def test_equal_graphs_share_one_profile_object(self):
+        # the contract build_minorants relies on to build one minorant per
+        # distinct factor: equal graphs (Graph equality, label included), even
+        # as separate objects, map to the identical IsoProfile
+        ring = [(v, (v + 1) % 7) for v in range(7)]
+        graphs = [
+            generate("cycle", 8),
+            Graph.from_edges(7, ring, label="ring"),
+            generate("cycle", 8),
+            Graph.from_edges(7, ring, label="ring"),
+            generate("path", 8),
+        ]
+        out = resolve_profiles(graphs)
+        assert out[0] is out[2]
+        assert out[1] is out[3]
+        assert len({id(p) for p in out}) == 3
+
+    def test_family_takes_closed_form_beyond_search_cap(self):
+        (prof,) = resolve_profiles([generate("path", 40)])
+        assert prof == profile_closed_form("path", 40)
+        with pytest.raises(CapExceededError):
+            resolve_profiles([generate("path", 40)], exhaustive=True)
 
 
 class TestMinBoundary:
