@@ -51,7 +51,7 @@ def _budget(log_size: float, total: float) -> float:
     set is the whole product, so the budget snaps to total.  Snapping up is
     sound, since every minorant decreases."""
     tol = BUDGET_TOL * max(1.0, total)
-    if log_size < -tol or log_size > total + tol:
+    if not -tol <= log_size <= total + tol:  # NaN fails too
         raise ValueError(f"log size {log_size} outside [0, {total}]")
     return total if log_size >= total - tol else max(log_size, 0.0)
 

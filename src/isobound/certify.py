@@ -90,6 +90,10 @@ def verify_theorem(
     Factor profiles come from resolve_profiles, so family factors of any size
     use their closed form.
     """
+    if ks is not None:
+        ks = tuple(ks)
+        if not ks:
+            raise ValueError("no sizes to verify")
     product = cartesian_product(spec, max_vertices=max_vertices)
     m = product.vertex_count
     if ks is None:
@@ -100,7 +104,6 @@ def verify_theorem(
             )
         ks = range(1, m + 1)
     else:
-        ks = tuple(ks)
         for k in ks:
             if not 1 <= k <= m:
                 raise ValueError(f"size {k} outside 1..{m}")

@@ -54,18 +54,22 @@ _LOG_EXPR = re.compile(
 
 
 def parse_log_size(text: str) -> float:
-    """A float literal, log(M), or K*log(M)."""
+    """A float literal, log(M), or K*log(M); the value must be finite."""
     m = _LOG_EXPR.match(text)
     if m:
         coef = float(m["coef"]) if m["coef"] else 1.0
         arg = float(m["arg"])
         if arg <= 0:
             raise ParseError(f"log argument must be positive in {text!r}")
-        return coef * math.log(arg)
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"bad log-size {text!r}; use a number or K*log(M)") from None
+        value = coef * math.log(arg)
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"bad log-size {text!r}; use a finite number or K*log(M)")
+    return value
 
 
 def _fmt(x: float) -> str:

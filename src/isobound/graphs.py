@@ -306,6 +306,15 @@ def parse_product_spec(text: str) -> ProductSpec:
     return ProductSpec(tuple(factors))
 
 
+def _strides(sizes) -> list[int]:
+    """Mixed-radix place values of product coordinates, last factor fastest:
+    vertex (c_1, ..., c_n) has index sum_i c_i * strides[i]."""
+    strides = [1] * len(sizes)
+    for i in range(len(sizes) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    return strides
+
+
 def cartesian_product(spec, *, max_vertices: int | None = None) -> Graph:
     """Materialize the product; refuses when the vertex count exceeds the cap."""
     factors = spec.factors if isinstance(spec, ProductSpec) else tuple(spec)
@@ -320,9 +329,7 @@ def cartesian_product(spec, *, max_vertices: int | None = None) -> Graph:
     if len(factors) == 1:
         return factors[0]
     sizes = [f.vertex_count for f in factors]
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
+    strides = _strides(sizes)
     adjacency = []
     for idx, coords in enumerate(itertools.product(*(range(m) for m in sizes))):
         ns = []
@@ -339,10 +346,7 @@ def product_vertex_set(spec: ProductSpec, factor_sets) -> VertexSet:
     factor_sets = tuple(factor_sets)
     if len(factor_sets) != len(spec.factors):
         raise ValueError("one vertex set per factor required")
-    sizes = [f.vertex_count for f in spec.factors]
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
+    strides = _strides([f.vertex_count for f in spec.factors])
     mask = 0
     count = 0
     for coords in itertools.product(*(s.members() for s in factor_sets)):

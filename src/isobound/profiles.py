@@ -1,19 +1,17 @@
 """Exact edge-isoperimetric profiles of small graphs.
 
 i_k(G) = min { e(A, A^c) / |A| : A subset of V, |A| = k }, stored as an exact
-rational.  Searches enumerate k-subsets in lexicographic order of the sorted
-member tuple and keep the first minimizer found, so the reported witness is
-always the lexicographically smallest one and repeated runs are identical.
+rational.  The search is a branch-and-bound over k-subsets: it enumerates them
+in lexicographic order of the sorted member tuple, keeps the first minimizer
+found, and prunes partial sets whose crossing count minus the best possible
+future cancellation (from residual degrees within the candidate pool) cannot
+beat the incumbent.  Pruning only skips sets that cannot win, so the reported
+witness is always the lexicographically smallest one and repeated runs are
+identical.  Graphs above SEARCH_CAP vertices are refused.
 
-Pure enumeration is the default up to EXHAUSTIVE_CAP vertices.  Above that a
-branch-and-bound variant prunes partial sets whose crossing count minus the
-best possible future cancellation (from residual degrees within the candidate
-pool) cannot beat the incumbent; it visits subsets in the same order, so the
-canonical witness is unchanged.
-
-resolve_profiles is the one place that chooses between the two: family graphs
-(Graph.family set) take the closed form, everything else is searched, and
-each distinct graph is solved once.
+resolve_profiles is the one place that chooses between closed form and
+search: family graphs (Graph.family set) take the closed form, everything else
+is searched, and each distinct graph is solved once.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ from math import inf
 
 from .graphs import CapExceededError, Graph, VertexSet, family_entry
 
-EXHAUSTIVE_CAP = 20
-PRUNED_CAP = 30
+SEARCH_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -62,44 +59,38 @@ class IsoProfile:
         return "\n".join(lines) + "\n"
 
 
-def _check_cap(m: int, prune: bool | None, max_vertices: int | None) -> bool:
-    """Resolve the prune flag and enforce the search cap.  Returns prune."""
-    if prune is None:
-        prune = m > EXHAUSTIVE_CAP
-    if max_vertices is None:
-        max_vertices = PRUNED_CAP if prune else EXHAUSTIVE_CAP
-    if m > max_vertices:
+def _check_cap(m: int, max_vertices: int | None) -> None:
+    cap = SEARCH_CAP if max_vertices is None else max_vertices
+    if m > cap:
         raise CapExceededError(
-            f"graph has {m} vertices but the search cap is {max_vertices}"
+            f"graph has {m} vertices but the search cap is {cap}"
             f" (pass max_vertices to override)"
         )
-    return prune
 
 
-def _search(g: Graph, k: int, prune: bool) -> tuple[int, int]:
-    """(min boundary, witness mask) over k-subsets, lexicographic DFS."""
+def _search(g: Graph, k: int) -> tuple[int, int]:
+    """(min boundary, witness mask) over k-subsets, lexicographic DFS with pruning."""
     m = g.vertex_count
+    full = (1 << m) - 1
     if k == m:
-        return 0, (1 << m) - 1
+        return 0, full
     adj = g.adjacency_masks
     deg = g.degrees
     best_val = inf
     best_mask = 0
-    # pool_masks[v] = vertices v..m-1, the candidates after picking up to v-1
-    pool_masks = [((1 << m) - 1) ^ ((1 << v) - 1) for v in range(m + 1)]
 
     def future_floor(mask: int, lo: int, need: int) -> float:
         # Sound lower bound on the boundary change of any completion: each
         # candidate u can cancel at most its edges into mask plus its edges
         # into the pool (the latter double-counted across picks, hence once
         # per endpoint here).
-        pool = pool_masks[lo]
+        pool = candidates = full >> lo << lo  # vertices lo..m-1
         weights = []
         while pool:
             low = pool & -pool
             u = low.bit_length() - 1
             pool ^= low
-            w = deg[u] - 2 * (adj[u] & mask).bit_count() - (adj[u] & pool_masks[lo]).bit_count()
+            w = deg[u] - 2 * (adj[u] & mask).bit_count() - (adj[u] & candidates).bit_count()
             weights.append(w)
         weights.sort()
         return sum(weights[:need])
@@ -114,43 +105,30 @@ def _search(g: Graph, k: int, prune: bool) -> tuple[int, int]:
                 if new_cross < best_val:
                     best_val = new_cross
                     best_mask = new_mask
-            else:
-                if prune and new_cross + future_floor(new_mask, v + 1, need - 1) >= best_val:
-                    continue
+            elif new_cross + future_floor(new_mask, v + 1, need - 1) < best_val:
                 extend(v + 1, new_mask, new_cross, need - 1)
 
     extend(0, 0, 0, k)
     return int(best_val), best_mask
 
 
-def min_boundary(
-    g: Graph,
-    k: int,
-    *,
-    prune: bool | None = None,
-    max_vertices: int | None = None,
-) -> tuple[int, VertexSet]:
+def min_boundary(g: Graph, k: int, *, max_vertices: int | None = None) -> tuple[int, VertexSet]:
     """Exact minimum edge boundary over all k-subsets, with canonical witness."""
     m = g.vertex_count
     if not 1 <= k <= m:
         raise ValueError(f"size {k} outside 1..{m}")
-    use_prune = _check_cap(m, prune, max_vertices)
-    value, mask = _search(g, k, use_prune)
+    _check_cap(m, max_vertices)
+    value, mask = _search(g, k)
     return value, VertexSet(mask, k)
 
 
-def profile_bruteforce(
-    g: Graph,
-    *,
-    prune: bool | None = None,
-    max_vertices: int | None = None,
-) -> IsoProfile:
+def profile_bruteforce(g: Graph, *, max_vertices: int | None = None) -> IsoProfile:
     """Full profile k = 1..m; each size is an independent search."""
     m = g.vertex_count
-    use_prune = _check_cap(m, prune, max_vertices)
+    _check_cap(m, max_vertices)
     entries = []
     for k in range(1, m + 1):
-        value, mask = _search(g, k, use_prune)
+        value, mask = _search(g, k)
         entries.append(ProfileEntry(k, value, Fraction(value, k), VertexSet(mask, k)))
     return IsoProfile(m, tuple(entries))
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles for the tests.
 
 Nothing here shares logic with the library's algorithms: the allocation
-oracles are exhaustive searches (a uniform grid sweep and a knot sweep), and
-the boundary oracle recounts edges from adjacency lists and a plain set.
+oracles are exhaustive searches (a uniform grid sweep and a knot sweep), the
+boundary oracle recounts edges from adjacency lists and a plain set, and the
+minimum-boundary oracle walks every k-subset with itertools.combinations.
 """
 
 from __future__ import annotations
@@ -18,6 +19,18 @@ GRID_STEP = 1e-4
 def boundary_by_recount(g, members) -> int:
     inside = set(members)
     return sum(1 for v in inside for u in g.adjacency[v] if u not in inside)
+
+
+def min_boundary_by_enumeration(g, k: int) -> tuple[int, tuple[int, ...]]:
+    """Minimum boundary over all k-subsets and the first subset attaining it.
+    combinations yields sorted tuples in lexicographic order, so keeping the
+    first strict minimum gives the lexicographically smallest witness."""
+    best, witness = math.inf, ()
+    for members in itertools.combinations(range(g.vertex_count), k):
+        b = boundary_by_recount(g, members)
+        if b < best:
+            best, witness = b, members
+    return best, witness
 
 
 def _tables(minorants, step):

@@ -6,6 +6,7 @@ import contextlib
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -28,7 +29,13 @@ from isobound import (
     verify_theorem,
 )
 
-from oracles import GRID_STEP, allocation_grid_min, allocation_knot_min, grid_reach
+from oracles import (
+    GRID_STEP,
+    allocation_grid_min,
+    allocation_knot_min,
+    grid_reach,
+    min_boundary_by_enumeration,
+)
 
 BENCH_RATIO_CAP = 2.0 / (math.e * math.log(2.0))
 
@@ -52,11 +59,14 @@ def test_criterion_01_closed_forms_match_brute_force(capsys):
             for m in range(2, 11):
                 if family == "cycle" and m < 3:
                     continue
-                brute = profile_bruteforce(generate(family, m), prune=False)
+                g = generate(family, m)
+                brute = profile_bruteforce(g)
                 closed = profile_closed_form(family, m)
                 for k in range(1, m + 1):
-                    assert brute.ratio(k) == closed.ratio(k)  # exact rationals
-                    assert brute.boundary(k) == closed.boundary(k)
+                    truth, witness = min_boundary_by_enumeration(g, k)
+                    assert brute.ratio(k) == closed.ratio(k) == Fraction(truth, k)  # exact
+                    assert brute.boundary(k) == closed.boundary(k) == truth
+                    assert closed.entry(k).witness.members() == witness
         assert time.monotonic() - start < 10.0
 
 
@@ -64,12 +74,12 @@ def test_criterion_02_hypercube_q4_exhaustive(capsys):
     with criterion(capsys, 2, "Q_4 exhaustive: subcube minima 2^t (4 - t), bound tight there"):
         start = time.monotonic()
         q4 = cartesian_product(parse_product_spec("complete:2^4"))
-        prof = profile_bruteforce(q4, prune=False)  # enumerates all subsets
+        prof = profile_bruteforce(q4)
         psi = build_minorant(profile_closed_form("complete", 2))
         for t in range(5):
             k = 2**t
-            truth = prof.boundary(k)
-            assert truth == k * (4 - t)
+            truth, _ = min_boundary_by_enumeration(q4, k)  # every k-subset
+            assert prof.boundary(k) == truth == k * (4 - t)
             bound = k * theorem_bound([psi] * 4, math.log(k)).bound_per_vertex
             assert abs(truth - bound) <= 1e-9 * max(truth, 1.0)
         assert time.monotonic() - start < 30.0

@@ -125,6 +125,8 @@ class TestTheoremBound:
             theorem_bound([psi], math.log(3) + 1e-3)
         with pytest.raises(ValueError, match="outside"):
             theorem_bound([psi], -1e-3)
+        with pytest.raises(ValueError, match="outside"):
+            theorem_bound([psi], math.nan)
 
 
 class TestAgainstOracles:
@@ -176,6 +178,8 @@ class TestHomogeneousBound:
             homogeneous_bound(psi, 0, 0.0)
         with pytest.raises(ValueError, match="outside"):
             homogeneous_bound(psi, 2, 3 * math.log(3))
+        with pytest.raises(ValueError, match="outside"):
+            homogeneous_bound(psi, 2, math.nan)
 
 
 class TestSharpness:

@@ -64,6 +64,10 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError, match="outside"):
             verify_theorem(parse_product_spec("path:3^2"), ks=[10])
 
+    def test_empty_size_list(self):
+        with pytest.raises(ValueError, match="no sizes"):
+            verify_theorem(parse_product_spec("path:3^2"), ks=[])
+
     def test_description_is_label(self):
         report = verify_theorem(parse_product_spec("complete:2^3"))
         assert report.description == "complete:2^3"

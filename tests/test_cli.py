@@ -29,7 +29,10 @@ class TestParseLogSize:
         assert parse_log_size("3*log(2)") == pytest.approx(3 * math.log(2), rel=1e-15)
         assert parse_log_size(" 2.5 * log( 4 ) ") == pytest.approx(2.5 * math.log(4), rel=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "two", "log(0)", "log(-3)", "x*log(2)"])
+    @pytest.mark.parametrize("text", [
+        "", "two", "log(0)", "log(-3)", "x*log(2)",
+        "nan", "inf", "-inf", "1e999", "1" + "0" * 400 + "*log(2)", "log(1" + "0" * 400 + ")",
+    ])
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_log_size(text)
@@ -146,6 +149,13 @@ class TestBoundCommand:
         assert run(["bound", "path:3", "--log-size", "nonsense"]) == 2
         assert "bad log-size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_rejects_non_finite_log_size(self, text, capsys):
+        assert run(["bound", "cycle:5^2", "--log-size", text, "--output", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad log-size" in captured.err
+
     def test_rejects_out_of_range_size(self, capsys):
         assert run(["bound", "path:3", "--size", "4"]) == 2
         assert "outside" in capsys.readouterr().err
@@ -241,6 +251,13 @@ class TestVerifyCommand:
         assert run(["verify", "path:3^2", "--sizes", "1,x"]) == 2
         assert "bad --sizes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes", ["", ","])
+    def test_empty_sizes(self, sizes, capsys):
+        assert run(["verify", "path:3^2", "--sizes", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no sizes to verify" in captured.err
+
 
 class TestCertifyQ71Command:
     def test_json(self, capsys):
@@ -299,9 +316,9 @@ class TestDistinctFactors:
         calls = []
         original = profiles._search
 
-        def counting(g, k, prune):
+        def counting(g, k):
             calls.append(g.vertex_count)
-            return original(g, k, prune)
+            return original(g, k)
 
         monkeypatch.setattr(profiles, "_search", counting)
         return calls

@@ -52,6 +52,8 @@ class TestHamming:
             hamming_bound(0, 2, 0.0)
         with pytest.raises(ValueError, match="outside"):
             hamming_bound(2, 2, 3 * math.log(2))
+        with pytest.raises(ValueError, match="outside"):
+            hamming_bound(2, 2, math.nan)
 
 
 class TestGridAndTorus:

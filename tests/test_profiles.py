@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isobound import (
     CapExceededError,
@@ -18,7 +21,27 @@ from isobound import (
 )
 from isobound.profiles import resolve_profiles
 
+from oracles import min_boundary_by_enumeration
+
 PETERSEN_BOUNDARIES = (3, 4, 5, 6, 5, 6, 5, 4, 3, 0)
+
+
+def by_enumeration(g):
+    """The oracle's (boundary, witness members) for every size k = 1..m."""
+    return [min_boundary_by_enumeration(g, k) for k in range(1, g.vertex_count + 1)]
+
+
+def searched(g):
+    return [(e.min_boundary, e.witness.members()) for e in profile_bruteforce(g).entries]
+
+
+@st.composite
+def random_graphs(draw):
+    """1-11 vertices, each pair an edge with a sparse or a dense probability."""
+    m = draw(st.integers(1, 11))
+    density = draw(st.sampled_from([0.2, 0.7]))
+    edges = [p for p in itertools.combinations(range(m), 2) if draw(st.floats(0, 1)) < density]
+    return Graph.from_edges(m, edges, label=f"random:{m}")
 
 
 def random_connected_graph(rng, m):
@@ -144,13 +167,22 @@ class TestPruning:
     def test_prune_matches_exhaustive(self, seed):
         rng = random.Random(500 + seed)
         g = random_connected_graph(rng, rng.randint(6, 12))
-        plain = profile_bruteforce(g, prune=False)
-        pruned = profile_bruteforce(g, prune=True)
-        assert plain == pruned
+        assert searched(g) == by_enumeration(g)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(random_graphs())
+    def test_matches_enumeration_on_random_graphs(self, g):
+        assert searched(g) == by_enumeration(g)
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_matches_enumeration_on_cliques(self, m):
+        # every k-set of K_m has the same boundary, so the floor never prunes
+        g = generate("complete", m)
+        assert searched(g) == by_enumeration(g)
 
     def test_pruned_path_beyond_exhaustive_cap(self):
         m = 24
-        prof = profile_bruteforce(generate("path", m))  # auto-prunes above 20
+        prof = profile_bruteforce(generate("path", m))  # 24 vertices: within the search cap of 30
         closed = profile_closed_form("path", m)
         assert prof == closed
 
@@ -164,10 +196,6 @@ class TestPruning:
 
 
 class TestCaps:
-    def test_exhaustive_cap(self):
-        with pytest.raises(CapExceededError, match="cap is 20"):
-            profile_bruteforce(generate("path", 21), prune=False)
-
     def test_pruned_cap(self):
         with pytest.raises(CapExceededError, match="cap is 30"):
             min_boundary(generate("path", 31), 2)
@@ -209,7 +237,7 @@ class TestProfileContainer:
 class TestHypercube:
     def test_q4_profile(self):
         q4 = cartesian_product(parse_product_spec("complete:2^4"))
-        prof = profile_bruteforce(q4, prune=False)
+        prof = profile_bruteforce(q4)
         expected = (4, 6, 8, 8, 10, 10, 10, 8, 10, 10, 10, 8, 8, 6, 4, 0)
         assert tuple(e.min_boundary for e in prof.entries) == expected
 
