@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .allocation import theorem_bound
 from .graphs import Graph, ProductSpec, cartesian_product
 from .minorants import ConvexMinorant, RegularSummary, build_minorants
-from .profiles import IsoProfile, min_boundary, resolve_profiles
+from .profiles import IsoProfile, min_boundary, profile_bruteforce, resolve_profiles
 
 TIGHT_REL_TOL = 1e-9
 ALL_K_CAP = 20
@@ -96,7 +96,8 @@ def verify_theorem(
             raise ValueError("no sizes to verify")
     product = cartesian_product(spec, max_vertices=max_vertices)
     m = product.vertex_count
-    if ks is None:
+    every_size = ks is None
+    if every_size:
         if m > ALL_K_CAP:
             raise ValueError(
                 f"all-size verification needs at most {ALL_K_CAP} vertices, got {m};"
@@ -108,9 +109,12 @@ def verify_theorem(
             if not 1 <= k <= m:
                 raise ValueError(f"size {k} outside 1..{m}")
     minorants = build_minorants(resolve_profiles(spec.factors))
+    if every_size:  # one profile search, so sizes above m/2 get complement targets
+        truths = [e.min_boundary for e in profile_bruteforce(product, max_vertices=m).entries]
+    else:
+        truths = [min_boundary(product, k, max_vertices=m)[0] for k in ks]
     entries = []
-    for k in ks:
-        truth, _ = min_boundary(product, k, max_vertices=m)
+    for k, truth in zip(ks, truths):
         bound = theorem_bound(minorants, size=k).bound_total
         gap = truth - bound
         tight = abs(gap) <= TIGHT_REL_TOL * max(truth, 1.0)

@@ -9,6 +9,7 @@ document on stdout with diagnostics on stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -54,13 +55,13 @@ _LOG_EXPR = re.compile(
 
 
 def parse_log_size(text: str) -> float:
-    """A float literal, log(M), or K*log(M); the value must be finite."""
+    """A float literal, log(M), or K*log(M), finite; a ValueError, not ParseError, if not."""
     m = _LOG_EXPR.match(text)
     if m:
         coef = float(m["coef"]) if m["coef"] else 1.0
         arg = float(m["arg"])
         if arg <= 0:
-            raise ParseError(f"log argument must be positive in {text!r}")
+            raise ValueError(f"log argument must be positive in {text!r}")
         value = coef * math.log(arg)
     else:
         try:
@@ -68,7 +69,7 @@ def parse_log_size(text: str) -> float:
         except ValueError:
             value = math.nan
     if not math.isfinite(value):
-        raise ParseError(f"bad log-size {text!r}; use a finite number or K*log(M)")
+        raise ValueError(f"bad log-size {text!r}; use a finite number or K*log(M)")
     return value
 
 
@@ -384,6 +385,7 @@ def _cmd_certify_q72(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use; parse_args keeps no state on it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isobound",

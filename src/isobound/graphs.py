@@ -7,8 +7,8 @@ with the first factor most significant, so the index of (v_1, ..., v_n) is
 Graph.family is (name, m) for a graph built by generate(name, m) and None for
 everything else (products, files, petersen).  It is the only way the rest of
 the package recognizes a named family: labels are for display.  FAMILIES is
-the one table of named families, their minimum sizes, edges and known
-minimum edge boundaries.
+the one table of named families, their minimum sizes, edges, known minimum
+edge boundaries and vertex-transitivity (set at construction, never detected).
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ class Graph:
     adjacency: tuple[tuple[int, ...], ...]
     label: str = "graph"
     family: tuple[str, int] | None = None  # (name, m) when built by generate
+    vertex_transitive: bool = False  # set at construction, never detected
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges, label: str = "graph") -> "Graph":
@@ -179,18 +180,21 @@ class Family:
     min_size: int
     edges: Callable[[int], list[tuple[int, int]]]
     boundary: Callable[[int, int], int]  # (m, k) -> minimum boundary of a k-set
+    vertex_transitive: Callable[[int], bool]
 
 
 FAMILIES = {
     "complete": Family(
         "complete graph", 1, lambda m: [(u, v) for u in range(m) for v in range(u + 1, m)],
-        lambda m, k: k * (m - k),
+        lambda m, k: k * (m - k), lambda m: True,
     ),
     "path": Family(
-        "path", 1, lambda m: [(v, v + 1) for v in range(m - 1)], lambda m, k: 1 if k < m else 0
+        "path", 1, lambda m: [(v, v + 1) for v in range(m - 1)], lambda m, k: 1 if k < m else 0,
+        lambda m: m <= 2,
     ),
     "cycle": Family(
-        "cycle", 3, lambda m: [(v, (v + 1) % m) for v in range(m)], lambda m, k: 2 if k < m else 0
+        "cycle", 3, lambda m: [(v, (v + 1) % m) for v in range(m)], lambda m, k: 2 if k < m else 0,
+        lambda m: True,
     ),
 }
 
@@ -210,8 +214,9 @@ def family_entry(name: str, m: int) -> Family:
 
 def generate(family: str, m: int) -> Graph:
     """One of the named families on m vertices."""
-    g = Graph.from_edges(m, family_entry(family, m).edges(m), label=f"{family}:{m}")
-    return replace(g, family=(family, m))
+    entry = family_entry(family, m)
+    g = Graph.from_edges(m, entry.edges(m), label=f"{family}:{m}")
+    return replace(g, family=(family, m), vertex_transitive=entry.vertex_transitive(m))
 
 
 def petersen() -> Graph:
@@ -221,7 +226,7 @@ def petersen() -> Graph:
         edges.append((i, (i + 1) % 5))
         edges.append((i, i + 5))
         edges.append((5 + i, 5 + (i + 2) % 5))
-    return Graph.from_edges(10, edges, label="petersen")
+    return replace(Graph.from_edges(10, edges, label="petersen"), vertex_transitive=True)
 
 
 def parse_graph(text: str, label: str = "file") -> Graph:
@@ -338,7 +343,8 @@ def cartesian_product(spec, *, max_vertices: int | None = None) -> Graph:
             for u in g.adjacency[coords[i]]:
                 ns.append(base + u * stride)
         adjacency.append(tuple(sorted(ns)))
-    return Graph(total, tuple(adjacency), label=spec.label())
+    transitive = all(f.vertex_transitive for f in factors)  # Aut(G) x Aut(H) acts transitively
+    return Graph(total, tuple(adjacency), label=spec.label(), vertex_transitive=transitive)
 
 
 def product_vertex_set(spec: ProductSpec, factor_sets) -> VertexSet:

@@ -9,6 +9,13 @@ beat the incumbent.  Pruning only skips sets that cannot win, so the reported
 witness is always the lexicographically smallest one and repeated runs are
 identical.  Graphs above SEARCH_CAP vertices are refused.
 
+Two symmetry cuts keep that witness.  On a vertex-transitive graph some
+minimizer holds vertex 0, and sets holding 0 come first, so only the v = 0
+top-level branch is searched.  As boundary(k) = boundary(m - k), each size
+above m/2 in profile_bruteforce gets its complement's value as a target: only
+subtrees whose floor exceeds it are pruned, and the search stops at the first
+leaf reaching it, which is the canonical witness.
+
 resolve_profiles is the one place that chooses between closed form and
 search: family graphs (Graph.family set) take the closed form, everything else
 is searched, and each distinct graph is solved once.
@@ -68,15 +75,18 @@ def _check_cap(m: int, max_vertices: int | None) -> None:
         )
 
 
-def _search(g: Graph, k: int) -> tuple[int, int]:
-    """(min boundary, witness mask) over k-subsets, lexicographic DFS with pruning."""
+def _search(g: Graph, k: int, target: int | None = None) -> tuple[int, int]:
+    """(min boundary, witness mask) over k-subsets, lexicographic DFS with pruning;
+    given the known minimum as target, the first leaf reaching it ends the search."""
     m = g.vertex_count
     full = (1 << m) - 1
+    deg = g.degrees
     if k == m:
         return 0, full
+    if k == 1:  # no adjacency masks: they cost O(m^2) bits on a large product
+        return min(deg), 1 << deg.index(min(deg))
     adj = g.adjacency_masks
-    deg = g.degrees
-    best_val = inf
+    best_val = inf if target is None else target + 1
     best_mask = 0
 
     def future_floor(mask: int, lo: int, need: int) -> float:
@@ -95,7 +105,7 @@ def _search(g: Graph, k: int) -> tuple[int, int]:
         weights.sort()
         return sum(weights[:need])
 
-    def extend(lo: int, mask: int, cross: int, need: int) -> None:
+    def extend(lo: int, mask: int, cross: int, need: int) -> bool:
         nonlocal best_val, best_mask
         for v in range(lo, m - need + 1):
             delta = deg[v] - 2 * (adj[v] & mask).bit_count()
@@ -105,10 +115,17 @@ def _search(g: Graph, k: int) -> tuple[int, int]:
                 if new_cross < best_val:
                     best_val = new_cross
                     best_mask = new_mask
+                    if new_cross == target:
+                        return True
             elif new_cross + future_floor(new_mask, v + 1, need - 1) < best_val:
-                extend(v + 1, new_mask, new_cross, need - 1)
+                if extend(v + 1, new_mask, new_cross, need - 1):
+                    return True
+        return False
 
-    extend(0, 0, 0, k)
+    if g.vertex_transitive:  # the v = 0 branch holds the canonical witness
+        extend(1, 1, deg[0], k - 1)
+    else:
+        extend(0, 0, 0, k)
     return int(best_val), best_mask
 
 
@@ -123,12 +140,13 @@ def min_boundary(g: Graph, k: int, *, max_vertices: int | None = None) -> tuple[
 
 
 def profile_bruteforce(g: Graph, *, max_vertices: int | None = None) -> IsoProfile:
-    """Full profile k = 1..m; each size is an independent search."""
+    """Full profile k = 1..m; sizes above m/2 target their complement's boundary."""
     m = g.vertex_count
     _check_cap(m, max_vertices)
     entries = []
     for k in range(1, m + 1):
-        value, mask = _search(g, k)
+        target = entries[m - k - 1].min_boundary if m - k < k < m else None
+        value, mask = _search(g, k, target)
         entries.append(ProfileEntry(k, value, Fraction(value, k), VertexSet(mask, k)))
     return IsoProfile(m, tuple(entries))
 

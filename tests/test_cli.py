@@ -10,7 +10,7 @@ import pytest
 
 import isobound
 from isobound import minorants, profiles
-from isobound.cli import parse_log_size, run
+from isobound.cli import build_parser, parse_log_size, run
 from isobound.graphs import MAX_VERTICES_ENV, ParseError
 
 PATH4_CSV = (
@@ -34,8 +34,9 @@ class TestParseLogSize:
         "nan", "inf", "-inf", "1e999", "1" + "0" * 400 + "*log(2)", "log(1" + "0" * 400 + ")",
     ])
     def test_rejects(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError) as info:
             parse_log_size(text)
+        assert not isinstance(info.value, ParseError)  # not a spec error: no grammar
 
 
 class TestProfileCommand:
@@ -156,6 +157,12 @@ class TestBoundCommand:
         assert captured.out == ""
         assert "bad log-size" in captured.err
 
+    def test_log_size_error_omits_spec_grammar(self, capsys):
+        assert run(["bound", "cycle:5^2", "--log-size", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert "bad log-size" in err
+        assert "spec grammar" not in err
+
     def test_rejects_out_of_range_size(self, capsys):
         assert run(["bound", "path:3", "--size", "4"]) == 2
         assert "outside" in capsys.readouterr().err
@@ -247,6 +254,12 @@ class TestVerifyCommand:
         assert run(["verify", "path:40 x path:2", "--sizes", "1", "--output", "csv"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "1,2,2.0,0.0,True"
 
+    def test_hypercube_size_three(self, capsys):
+        # 1024 vertices: the transitive product searches only sets holding 0
+        assert run(["verify", "complete:2^10", "--sizes", "3", "--output", "json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["entries"]
+        assert entry["true_min_boundary"] == 26
+
     def test_bad_sizes(self, capsys):
         assert run(["verify", "path:3^2", "--sizes", "1,x"]) == 2
         assert "bad --sizes" in capsys.readouterr().err
@@ -316,9 +329,9 @@ class TestDistinctFactors:
         calls = []
         original = profiles._search
 
-        def counting(g, k):
+        def counting(g, k, *rest):
             calls.append(g.vertex_count)
-            return original(g, k)
+            return original(g, k, *rest)
 
         monkeypatch.setattr(profiles, "_search", counting)
         return calls
@@ -370,6 +383,30 @@ class TestTopLevel:
         monkeypatch.setenv(MAX_VERTICES_ENV, "8")
         assert run(["profile", "cycle:3^2"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_parser_reused_across_commands(self, capsys):
+        argvs = [
+            ["profile", "path:4", "--output", "csv"],
+            ["bound", "cycle:5^2", "--size", "3"],
+            ["verify", "path:3^2", "--bogus"],
+            ["minorant", "cycle:5", "--output", "json"],
+            ["profile", "path:4", "--output", "csv"],
+            ["verify", "path:3^2", "--sizes", "2,4"],
+        ]
+
+        def outcome(argv):
+            code = run(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert [outcome(argv) for argv in argvs] == fresh  # one parser, every command
+        assert build_parser() is build_parser()
+        assert fresh[0] == (0, PATH4_CSV, "")
+        assert fresh[2][0] == 2 and "unrecognized arguments: --bogus" in fresh[2][2]
 
     def test_deterministic_output(self, capsys):
         argv = ["bound", "path:5 x cycle:4 x complete:3", "--size", "10", "--output", "json"]

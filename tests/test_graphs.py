@@ -68,6 +68,35 @@ class TestGenerate:
         assert cartesian_product(parse_product_spec("path:2^2")).family is None
 
 
+class TestVertexTransitive:
+    """The flag is set by construction and inherited by products."""
+
+    @pytest.mark.parametrize("family,m,expected", [
+        ("complete", 1, True), ("complete", 5, True), ("cycle", 3, True), ("cycle", 7, True),
+        ("path", 1, True), ("path", 2, True), ("path", 3, False), ("path", 6, False),
+    ])
+    def test_generate(self, family, m, expected):
+        assert generate(family, m).vertex_transitive is expected
+
+    def test_petersen(self):
+        assert petersen().vertex_transitive
+
+    def test_products_inherit(self):
+        assert cartesian_product(parse_product_spec("path:2^4")).vertex_transitive
+        assert cartesian_product(parse_product_spec("cycle:4 x complete:3")).vertex_transitive
+        assert not cartesian_product(parse_product_spec("cycle:4 x path:3")).vertex_transitive
+        assert not cartesian_product(parse_product_spec("path:3 x complete:2^2")).vertex_transitive
+
+    def test_files_are_not_transitive(self, tmp_path):
+        cycle = "4\n0 1\n1 2\n2 3\n3 0\n"
+        assert not parse_graph(cycle).vertex_transitive
+        path = tmp_path / "c4.txt"
+        path.write_text(cycle)
+        spec = parse_product_spec(f"file:{path} x complete:2")
+        assert not spec.factors[0].vertex_transitive
+        assert not cartesian_product(spec).vertex_transitive
+
+
 class TestPetersen:
     def test_shape(self):
         g = petersen()

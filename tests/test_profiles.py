@@ -195,6 +195,36 @@ class TestPruning:
             assert prof.entry(k).witness == closed.entry(k).witness
 
 
+class TestSymmetryCuts:
+    """The vertex-transitive stop and the complement targets keep the values
+    and the canonical witnesses of the independent enumeration."""
+
+    @pytest.mark.parametrize("spec", [
+        "cycle:3^2", "cycle:4^2", "complete:2^4", "cycle:5 x complete:3", "petersen",
+    ])
+    def test_transitive_graphs(self, spec):
+        g = petersen() if spec == "petersen" else cartesian_product(parse_product_spec(spec))
+        assert g.vertex_transitive
+        expected = by_enumeration(g)
+        assert searched(g) == expected
+        singles = [min_boundary(g, k) for k in range(1, g.vertex_count + 1)]
+        assert [(v, w.members()) for v, w in singles] == expected
+
+    def test_petersen_prism(self):
+        # the oracle takes seconds at the middle sizes of 20 vertices, so check
+        # the outer ones: k <= 5 and their complement-target sizes k >= 15
+        g = cartesian_product([petersen(), generate("complete", 2)])
+        assert g.vertex_transitive
+        ks = [*range(1, 6), *range(15, 21)]
+        profile = searched(g)
+        assert [profile[k - 1] for k in ks] == [min_boundary_by_enumeration(g, k) for k in ks]
+
+    def test_singleton_builds_no_masks(self):
+        g = cartesian_product(parse_product_spec("path:3 x cycle:4"))
+        assert min_boundary(g, 1) == (3, VertexSet(1, 1))  # deg 1 + 2
+        assert "adjacency_masks" not in g.__dict__
+
+
 class TestCaps:
     def test_pruned_cap(self):
         with pytest.raises(CapExceededError, match="cap is 30"):
