@@ -14,10 +14,16 @@ optimal when the shallowest-chord intercept sits strictly below the degree:
 a Dirichlet approximation |s log m - t log(m/k*)| <= eps/2 yields, for large
 enough products, a set of size m^t with strictly smaller boundary than the
 slab of the same size.  All certificate arithmetic is normalized per m^t.
+The pair is found by walking the continued-fraction convergents of
+log m / log(m/k*): the first s with a t in the window is a best approximation
+of the second kind, hence a convergent denominator (Khinchin, Continued
+Fractions, 1964, section 6).
 """
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -227,14 +233,23 @@ def q72_certificate(
 ) -> DirichletCertificate:
     """Certificate that slabs are beaten at size m^t for large products.
 
-    Halves eps from eps_start; for each eps scans t = 1.. for the first
-    s = round(t log(m/k*) / log m) >= 1 with |s log m - t log(m/k*)| <= eps/2,
+    Halves eps from eps_start; for each eps finds the least t <= t_max with
+    s = round(t log(m/k*) / log m) >= 1 and |s log m - t log(m/k*)| <= eps/2,
     then requires the strict normalized inequality
 
         (1+eps)(s*y + eps) + eps*s*d*(1 + (log m + eps/2)/log(m/k*)) < s*d.
 
     The middle term t*i_{k*} <= s*y + eps is re-checked explicitly rather than
     assumed from the approximation inequality.
+
+    The pair comes from _dirichlet_pair, which tries only the convergent
+    denominators s of beta = log m / log(m/k*): the first s >= 1 with
+    ||s beta|| <= eps/(2 log(m/k*)) is a best approximation of the second
+    kind, and every such approximation is a convergent (Khinchin, Continued
+    Fractions, 1964, section 6; Hardy and Wright, ch. 10).  Each step is
+    decided with the same float expressions as a scan over t = 1, ..., t_max,
+    so both give the same pair unless a double rounding error crosses eps/2,
+    and the walk takes O(log t_max) steps per eps.  t_max only stops it.
     """
     m = g.vertex_count
     d = summary.degree
@@ -246,23 +261,16 @@ def q72_certificate(
         raise SlabsOptimalError(
             f"y_intercept = degree = {d}: slab sets are edge-optimal; no certificate"
         )
-    if eps_start <= 0:
-        raise ValueError(f"eps_start must be positive, got {eps_start}")
+    if not (eps_start > 0 and math.isfinite(eps_start)):
+        raise ValueError(f"eps_start must be positive and finite, got {eps_start}")
     log_m = math.log(m)
     log_ratio = math.log(m / k_star)
     i_k_star = y * (log_ratio / log_m)
+    convergents = _beta_convergents(m, k_star, t_max)
 
     eps = eps_start
     while eps >= EPS_FLOOR:
-        found = None
-        for t in range(1, t_max + 1):
-            s = round(t * log_ratio / log_m)
-            if s < 1:
-                continue
-            err = abs(s * log_m - t * log_ratio)
-            if err <= eps / 2.0:
-                found = (s, t, err)
-                break
+        found = _dirichlet_pair(log_m, log_ratio, convergents, eps, t_max)
         if found is not None:
             s, t, err = found
             construction = t * i_k_star
@@ -290,6 +298,55 @@ def q72_certificate(
         f"certificate search failed: no (s, t) with t <= {t_max} satisfied the"
         f" inequalities for any eps down to {EPS_FLOOR}"
     )
+
+
+def _convergents(num: int, den: int):
+    """(p_n, q_n) of the continued fraction of num/den > 0, n = 0, 1, ...,
+    by Euclid's algorithm."""
+    p, q, p_prev, q_prev = 1, 0, 0, 1
+    while den:
+        a, rest = divmod(num, den)
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        yield p, q
+        num, den = den, rest
+
+
+def _beta_convergents(m: int, k_star: int, t_max: int) -> tuple[tuple[int, int], ...]:
+    """Convergents p/s of beta = log m / log(m/k*) with s <= t_max.  beta is
+    taken in decimal to 2 * digits(t_max) + 30 digits, far finer than
+    1/t_max^2, so these convergents are those of the true ratio."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * len(str(t_max)) + 30
+        log_m = decimal.Decimal(m).ln()
+        beta = log_m / (log_m - decimal.Decimal(k_star).ln())
+    convergents = _convergents(*beta.as_integer_ratio())
+    return tuple(itertools.takewhile(lambda ps: ps[1] <= t_max, convergents))
+
+
+def _dirichlet_pair(
+    log_m: float, log_ratio: float, convergents, eps: float, t_max: int
+) -> tuple[int, int, float] | None:
+    """The least t <= t_max with s = round(t log_ratio / log_m) >= 1 and
+    err = |s log_m - t log_ratio| <= eps/2, as (s, t, err); None if none.
+
+    Only convergent denominators s are tried, in increasing order.  The t
+    with round(t alpha) = s lie within beta/2 of s beta, those in the window
+    within eps/(2 log_ratio), and |s beta - p| < 1, so t within `reach` of
+    the numerator p covers both.  s is nondecreasing in t, so the first hit
+    is the least t.
+    """
+    half = eps / 2.0
+    reach = math.ceil(min(half / log_ratio, log_m / log_ratio / 2.0)) + 1
+    for p, s in convergents:
+        if p - reach > t_max:
+            break
+        for t in range(max(1, p - reach), min(t_max, p + reach) + 1):
+            if round(t * log_ratio / log_m) == s:
+                err = abs(s * log_m - t * log_ratio)
+                if err <= half:
+                    return s, t, err
+    return None
 
 
 def b_t_boundary(m: int, d: int, n: int, t: int) -> float:

@@ -73,6 +73,17 @@ def parse_log_size(text: str) -> float:
     return value
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type for --eps-start: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
@@ -423,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int, required=True, help="the power n of the base graph")
 
     p = add("certify-q72", _cmd_certify_q72, help="slab counterexample certificate")
-    p.add_argument("--eps-start", type=float, default=0.1, help="initial eps for the search")
+    p.add_argument(
+        "--eps-start", type=_positive_finite, default=0.1, help="initial eps for the search"
+    )
 
     return parser
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import Graph
 from .profiles import IsoProfile
@@ -42,13 +43,23 @@ class ConvexMinorant:
             raise ValueError(f"x = {x} outside [0, {self.domain_end}]")
         return min(max(x, 0.0), self.domain_end)
 
+    @cached_property
+    def xs(self) -> tuple[float, ...]:
+        return tuple(b.x for b in self.breakpoints)
+
+    @cached_property
+    def _slopes(self) -> tuple[float, ...]:
+        bps = self.breakpoints
+        return tuple(
+            (bps[j + 1].y - bps[j].y) / (bps[j + 1].x - bps[j].x) for j in range(len(bps) - 1)
+        )
+
     def evaluate(self, x: float) -> float:
         x = self._clamp(x)
         bps = self.breakpoints
         if len(bps) == 1:
             return bps[0].y
-        xs = [b.x for b in bps]
-        j = bisect_right(xs, x) - 1
+        j = bisect_right(self.xs, x) - 1
         if j >= len(bps) - 1:
             j = len(bps) - 2
         a, b = bps[j], bps[j + 1]
@@ -56,10 +67,7 @@ class ConvexMinorant:
         return a.y + t * (b.y - a.y)
 
     def slopes(self) -> tuple[float, ...]:
-        bps = self.breakpoints
-        return tuple(
-            (bps[j + 1].y - bps[j].y) / (bps[j + 1].x - bps[j].x) for j in range(len(bps) - 1)
-        )
+        return self._slopes
 
     def segments(self) -> tuple[tuple[float, float], ...]:
         """(slope, width) per linear piece, left to right."""
@@ -70,15 +78,14 @@ class ConvexMinorant:
         """(left, right) derivative; -inf sentinel at 0, right derivative 0 at
         the domain end (constant-zero continuation convention)."""
         x = self._clamp(x)
-        slopes = self.slopes()
+        slopes = self._slopes
         bps = self.breakpoints
         for j, b in enumerate(bps):
             if abs(x - b.x) <= ENDPOINT_TOL:
                 left = LEFT_INFINITE if j == 0 else slopes[j - 1]
                 right = 0.0 if j == len(bps) - 1 else slopes[j]
                 return left, right
-        xs = [b.x for b in bps]
-        j = bisect_right(xs, x) - 1
+        j = bisect_right(self.xs, x) - 1
         return slopes[j], slopes[j]
 
     def last_segment_start_k(self) -> int:

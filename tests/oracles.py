@@ -3,7 +3,8 @@
 Nothing here shares logic with the library's algorithms: the allocation
 oracles are exhaustive searches (a uniform grid sweep and a knot sweep), the
 boundary oracle recounts edges from adjacency lists and a plain set, and the
-minimum-boundary oracle walks every k-subset with itertools.combinations.
+minimum-boundary oracle walks every k-subset with itertools.combinations,
+and the Dirichlet-pair oracle scans t = 1, 2, ... one by one.
 """
 
 from __future__ import annotations
@@ -110,3 +111,16 @@ def allocation_knot_min(minorants, budget: float, tol: float = 1e-9) -> float:
             if value < best:
                 best = value
     return best
+
+
+def first_dirichlet_pair_by_scan(log_m: float, log_ratio: float, eps: float, t_max: int):
+    """The least t <= t_max with s = round(t log_ratio / log_m) >= 1 and
+    |s log_m - t log_ratio| <= eps/2, as (s, t, err); None if there is none."""
+    for t in range(1, t_max + 1):
+        s = round(t * log_ratio / log_m)
+        if s < 1:
+            continue
+        err = abs(s * log_m - t * log_ratio)
+        if err <= eps / 2.0:
+            return s, t, err
+    return None

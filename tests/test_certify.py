@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from oracles import first_dirichlet_pair_by_scan
 
 from isobound import (
     SlabsOptimalError,
@@ -22,6 +23,7 @@ from isobound import (
     regular_summary,
     verify_theorem,
 )
+from isobound.certify import _beta_convergents, _convergents, _dirichlet_pair
 
 C5_INTERPOLATED_MID = 2.2772937677064276
 C5_RESIDUAL = -0.27729376770642755
@@ -212,12 +214,76 @@ class TestDirichletCertificate:
         with pytest.raises(ValueError, match="eps_start"):
             q72_certificate(g, summary, eps_start=0.0)
 
+    @pytest.mark.parametrize("eps_start", [-1.0, math.inf, -math.inf, math.nan])
+    def test_eps_start_must_be_positive_and_finite(self, eps_start):
+        # halving inf stays inf, and nan skips the eps loop
+        g = generate("cycle", 5)
+        summary = regular_summary(g, profile_bruteforce(g))
+        with pytest.raises(ValueError, match="eps_start must be positive and finite"):
+            q72_certificate(g, summary, eps_start=eps_start)
+
     def test_json_fields(self):
         g = generate("cycle", 5)
         summary = regular_summary(g, profile_bruteforce(g))
         doc = q72_certificate(g, summary).to_json_dict()
         assert doc["vertex_count"] == 5
         assert doc["lhs"] < doc["rhs"]
+
+
+class TestDirichletPair:
+    """The convergent walk against a scan over every t."""
+
+    T_MAX = 10**4
+    EPS = (10.0, 1.0, 0.5, 0.2, 0.1, 0.05, 1e-2, 1e-3)
+
+    def walk(self, m, k, eps, t_max):
+        convergents = _beta_convergents(m, k, t_max)
+        return _dirichlet_pair(math.log(m), math.log(m / k), convergents, eps, t_max)
+
+    def test_matches_scan(self):
+        cases = 0
+        for m in range(3, 31):
+            for k in range(2, m):
+                log_m, log_ratio = math.log(m), math.log(m / k)
+                convergents = _beta_convergents(m, k, self.T_MAX)
+                for eps in self.EPS:
+                    expected = first_dirichlet_pair_by_scan(log_m, log_ratio, eps, self.T_MAX)
+                    got = _dirichlet_pair(log_m, log_ratio, convergents, eps, self.T_MAX)
+                    assert got == expected, (m, k, eps)
+                    cases += 1
+        assert cases == 3248
+
+    def test_first_t_is_not_a_convergent_of_alpha(self):
+        # round(t alpha) = 0 below t = 42, so the first admissible t is not a
+        # convergent denominator of alpha = log(26/25) / log 26; the walk over
+        # beta = 1 / alpha still finds it
+        got = self.walk(26, 25, 0.1, self.T_MAX)
+        assert got == first_dirichlet_pair_by_scan(math.log(26), math.log(26 / 25), 0.1, self.T_MAX)
+        assert got[:2] == (1, 82)
+
+    def test_pair_off_the_first_numerator(self):
+        # beta = log 40 / log(40/39) = 145.70..., so the first convergent is
+        # 145/1 while the pair is t = 146: the walk must look past p itself
+        got = self.walk(40, 39, 0.03, self.T_MAX)
+        assert got == first_dirichlet_pair_by_scan(math.log(40), math.log(40 / 39), 0.03, self.T_MAX)
+        assert got[:2] == (1, 146)
+
+    def test_t_max_stops_the_walk(self):
+        expected = first_dirichlet_pair_by_scan(math.log(7), math.log(7 / 3), 1e-3, self.T_MAX)
+        assert expected is not None
+        _, t, _ = expected
+        assert self.walk(7, 3, 1e-3, t) == expected
+        assert self.walk(7, 3, 1e-3, t - 1) is None
+
+    def test_convergents(self):
+        assert list(_convergents(355, 113)) == [(3, 1), (22, 7), (355, 113)]
+        assert list(_convergents(3, 2)) == [(1, 1), (3, 2)]
+        assert list(_convergents(4, 1)) == [(4, 1)]
+
+    def test_beta_convergents(self):
+        # log 5 / log(5/2) = [1; 1, 3, 9, 2, ...]
+        assert _beta_convergents(5, 2, 50)[:4] == ((1, 1), (2, 1), (7, 4), (65, 37))
+        assert all(s <= 50 for _, s in _beta_convergents(5, 2, 50))
 
 
 class TestSlabBoundary:

@@ -316,6 +316,12 @@ class TestCertifyQ72Command:
         assert run(["certify-q72", "cycle:5"]) == 0
         assert "counterexample" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("eps", ["0", "-1", "inf", "nan", "-inf", "abc"])
+    def test_bad_eps_start_is_a_usage_error(self, eps, capsys):
+        assert run(["certify-q72", "cycle:5", f"--eps-start={eps}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --eps-start: must be positive and finite, got '{eps}'" in err
+
 
 class TestDistinctFactors:
     """Each distinct factor is solved once per command, family factors never

@@ -59,6 +59,7 @@ CASES = [
     ("q72_cycle7", ["certify-q72", "cycle:7"], 0),
     ("q72_complete4", ["certify-q72", "complete:4"], 0),
     ("q72_prism", ["certify-q72", "file:prism.txt"], 0),
+    ("q72_cycle7_eps1e-6", ["certify-q72", "cycle:7", "--eps-start", "1e-6"], 0),
 ]
 
 HUMAN = {"profile", "bound"}
@@ -76,6 +77,8 @@ ERRORS = [
     ("err_q71_single_piece", ["certify-q71", "complete:4", "--power", "2"], 2),
     ("err_q72_product", ["certify-q72", "path:3 x path:3"], 2),
     ("err_q72_irregular", ["certify-q72", "path:4"], 2),
+    ("err_q72_search_failed", ["certify-q72", "cycle:5", "--eps-start", "1e-8"], 1),
+    ("err_q72_eps_start", ["certify-q72", "cycle:5", "--eps-start", "inf"], 2),
 ]
 
 
@@ -93,6 +96,7 @@ PARAMS = list(_expand())
 @pytest.mark.parametrize("name,argv,code", PARAMS, ids=[p[0] for p in PARAMS])
 def test_golden(name, argv, code, monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     assert run(argv) == code
     captured = capsys.readouterr()
     for suffix, text in ((".out", captured.out), (".err", captured.err)):

@@ -151,6 +151,18 @@ class TestDerivatives:
         psi = build_minorant(profile_bruteforce(petersen()))
         assert sum(w for _, w in psi.segments()) == pytest.approx(psi.domain_end, rel=1e-15)
 
+    def test_xs_and_slopes_are_cached(self):
+        psi = build_minorant(profile_bruteforce(petersen()))
+        fresh = build_minorant(profile_bruteforce(petersen()))
+        assert psi.xs == tuple(b.x for b in psi.breakpoints)
+        psi.evaluate(1.0)
+        psi.one_sided_derivatives(1.0)
+        assert psi.xs is psi.xs
+        assert psi.slopes() is psi.slopes()
+        # the caches are not fields: equality, hashing and to_json_dict ignore them
+        assert psi == fresh and hash(psi) == hash(fresh)
+        assert psi.to_json_dict() == fresh.to_json_dict()
+
     def test_last_segment_start(self):
         assert path_minorant(3).last_segment_start_k() == 1
         assert path_minorant(5).last_segment_start_k() == 2
