@@ -76,15 +76,15 @@ def regular_product_bound(degrees, sizes, log_size: float) -> float:
     return max(0.0, d - big * x / math.log(big + 1))
 
 
-def connected_regular_bound(sizes, log_size: float, total_log_volume: float | None = None) -> float:
+def connected_regular_bound(sizes, log_size: float) -> float:
     """Connected factors on m_i >= 2 vertices: (e / M) * (log|V| - log_size)
-    with M = max m_i.  total_log_volume defaults to sum log m_i."""
+    with M = max m_i."""
     sizes = tuple(sizes)
     if not sizes:
         raise ValueError("need at least one factor size")
     if min(sizes) < 2:
         raise ValueError("every factor needs at least 2 vertices")
-    total = sum(math.log(m_i) for m_i in sizes) if total_log_volume is None else total_log_volume
+    total = sum(math.log(m_i) for m_i in sizes)
     x = _check_range(log_size, total)
     return max(0.0, (math.e / max(sizes)) * (total - x))
 

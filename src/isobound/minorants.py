@@ -79,13 +79,15 @@ class ConvexMinorant:
         the domain end (constant-zero continuation convention)."""
         x = self._clamp(x)
         slopes = self._slopes
-        bps = self.breakpoints
-        for j, b in enumerate(bps):
-            if abs(x - b.x) <= ENDPOINT_TOL:
-                left = LEFT_INFINITE if j == 0 else slopes[j - 1]
-                right = 0.0 if j == len(bps) - 1 else slopes[j]
+        xs = self.xs
+        j = bisect_right(xs, x) - 1
+        # knots lie at log k for distinct k, so at most one is within the
+        # tolerance, and it is a neighbour of x
+        for i in (j, j + 1):
+            if i < len(xs) and abs(x - xs[i]) <= ENDPOINT_TOL:
+                left = LEFT_INFINITE if i == 0 else slopes[i - 1]
+                right = 0.0 if i == len(xs) - 1 else slopes[i]
                 return left, right
-        j = bisect_right(self.xs, x) - 1
         return slopes[j], slopes[j]
 
     def last_segment_start_k(self) -> int:

@@ -3,11 +3,16 @@
 i_k(G) = min { e(A, A^c) / |A| : A subset of V, |A| = k }, stored as an exact
 rational.  The search is a branch-and-bound over k-subsets: it enumerates them
 in lexicographic order of the sorted member tuple, keeps the first minimizer
-found, and prunes partial sets whose crossing count minus the best possible
-future cancellation (from residual degrees within the candidate pool) cannot
-beat the incumbent.  Pruning only skips sets that cannot win, so the reported
-witness is always the lexicographically smallest one and repeated runs are
-identical.  Graphs above SEARCH_CAP vertices are refused.
+found, and prunes a partial set S when its crossing count plus a floor on the
+change of any completion cannot beat the incumbent.  A completion T of size n
+from the candidate pool changes the boundary by exactly the sum over u in T of
+deg u - 2 |adj u & S| - |adj u & T|; each internal edge of T is counted once
+per endpoint, and u has at most min(|adj u & pool|, n - 1) neighbours in T.
+The floor is the sum of the n smallest of these per-vertex bounds, so it never
+exceeds the true change, and at n = 1 it is the exact best last step.  Pruning
+only skips sets that cannot win, so the reported witness is always the
+lexicographically smallest one and repeated runs are identical.  Graphs above
+SEARCH_CAP vertices are refused.
 
 Two symmetry cuts keep that witness.  On a vertex-transitive graph some
 minimizer holds vertex 0, and sets holding 0 come first, so only the v = 0
@@ -79,53 +84,62 @@ def _search(g: Graph, k: int, target: int | None = None) -> tuple[int, int]:
     """(min boundary, witness mask) over k-subsets, lexicographic DFS with pruning;
     given the known minimum as target, the first leaf reaching it ends the search."""
     m = g.vertex_count
-    full = (1 << m) - 1
     deg = g.degrees
     if k == m:
-        return 0, full
+        return 0, (1 << m) - 1
     if k == 1:  # no adjacency masks: they cost O(m^2) bits on a large product
         return min(deg), 1 << deg.index(min(deg))
     adj = g.adjacency_masks
     best_val = inf if target is None else target + 1
     best_mask = 0
+    root = k - 1 if g.vertex_transitive else k  # need at the root
+    # rows[cap][v][u - v - 1] = deg u - 2 [u ~ v] - min(|adj u & {v+1..m-1}|, cap)
+    # for u > v: the part of a floor weight that no mask changes, built on first
+    # use.  The root alone has its cap and takes each v once, so its rows are not
+    # kept: a k = 2 search of a large product then holds O(m) of them, not O(m^2).
+    rows: list = [[None] * m for _ in range(root - 1)]
 
-    def future_floor(mask: int, lo: int, need: int) -> float:
-        # Sound lower bound on the boundary change of any completion: each
-        # candidate u can cancel at most its edges into mask plus its edges
-        # into the pool (the latter double-counted across picks, hence once
-        # per endpoint here).
-        pool = candidates = full >> lo << lo  # vertices lo..m-1
-        weights = []
-        while pool:
-            low = pool & -pool
-            u = low.bit_length() - 1
-            pool ^= low
-            w = deg[u] - 2 * (adj[u] & mask).bit_count() - (adj[u] & candidates).bit_count()
-            weights.append(w)
-        weights.sort()
-        return sum(weights[:need])
+    def row(v: int, cap: int) -> list[int]:
+        a = adj[v]
+        r = [deg[u] - 2 * (a >> u & 1) - (p if (p := (adj[u] >> v + 1).bit_count()) < cap else cap)
+             for u in range(v + 1, m)]
+        if cap < root - 2:
+            rows[cap][v] = r
+        return r
+
+    def last(lo: int, mask: int, cross: int, deltas: list[int]) -> bool:
+        # the first vertex of least delta from lo on makes the best leaf here
+        nonlocal best_val, best_mask
+        best = min(deltas)
+        if cross + best < best_val:
+            best_val = cross + best
+            best_mask = mask | 1 << lo + deltas.index(best)
+        return best_val == target
 
     def extend(lo: int, mask: int, cross: int, need: int) -> bool:
-        nonlocal best_val, best_mask
+        into = [2 * (a & mask).bit_count() for a in adj[lo:]]  # 2 |adj u & mask| at u - lo
+        if need == 1:
+            return last(lo, mask, cross, [d - i for d, i in zip(deg[lo:], into)])
+        # child v's floor (module docstring): a completion of need - 1 vertices
+        # from the pool v+1..m-1, each with at most need - 2 neighbours inside it
+        cap = need - 2
+        table = rows[cap]
         for v in range(lo, m - need + 1):
-            delta = deg[v] - 2 * (adj[v] & mask).bit_count()
-            new_cross = cross + delta
-            new_mask = mask | (1 << v)
-            if need == 1:
-                if new_cross < best_val:
-                    best_val = new_cross
-                    best_mask = new_mask
-                    if new_cross == target:
-                        return True
-            elif new_cross + future_floor(new_mask, v + 1, need - 1) < best_val:
-                if extend(v + 1, new_mask, new_cross, need - 1):
+            new_cross = cross + deg[v] - into[v - lo]
+            w = [x - i for x, i in zip(table[v] or row(v, cap), into[v + 1 - lo:])]
+            if need == 2:  # the floor is exact: w holds the last step's deltas
+                if last(v + 1, mask | 1 << v, new_cross, w):
+                    return True
+            elif new_cross + sum(sorted(w)[:need - 1]) < best_val:
+                if extend(v + 1, mask | 1 << v, new_cross, need - 1):
                     return True
         return False
 
     if g.vertex_transitive:  # the v = 0 branch holds the canonical witness
-        extend(1, 1, deg[0], k - 1)
+        extend(1, 1, deg[0], root)
     else:
-        extend(0, 0, 0, k)
+        extend(0, 0, 0, root)
+    del extend  # ends the closure's cycle, so the rows go now, not at the next gc pass
     return int(best_val), best_mask
 
 

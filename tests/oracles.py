@@ -4,7 +4,8 @@ Nothing here shares logic with the library's algorithms: the allocation
 oracles are exhaustive searches (a uniform grid sweep and a knot sweep), the
 boundary oracle recounts edges from adjacency lists and a plain set, and the
 minimum-boundary oracle walks every k-subset with itertools.combinations,
-and the Dirichlet-pair oracle scans t = 1, 2, ... one by one.
+the Dirichlet-pair oracle scans t = 1, 2, ... one by one, and the derivative
+oracle scans the knots of a minorant in order.
 """
 
 from __future__ import annotations
@@ -124,3 +125,17 @@ def first_dirichlet_pair_by_scan(log_m: float, log_ratio: float, eps: float, t_m
         if err <= eps / 2.0:
             return s, t, err
     return None
+
+
+def one_sided_derivatives_by_scan(psi, x: float, tol: float) -> tuple[float, float]:
+    """(left, right) derivative of psi at x, clamped into the domain: the first
+    breakpoint within tol of x, found by a linear scan, is a knot (-inf left of
+    the first, 0 right of the last); elsewhere both are the segment's slope."""
+    x = min(max(x, 0.0), psi.domain_end)
+    bps = psi.breakpoints
+    slopes = [(b.y - a.y) / (b.x - a.x) for a, b in zip(bps, bps[1:])]
+    for j, b in enumerate(bps):
+        if abs(x - b.x) <= tol:
+            return (-math.inf if j == 0 else slopes[j - 1], 0.0 if j == len(bps) - 1 else slopes[j])
+    j = max(i for i, b in enumerate(bps) if b.x <= x)
+    return slopes[j], slopes[j]

@@ -260,6 +260,12 @@ class TestVerifyCommand:
         (entry,) = json.loads(capsys.readouterr().out)["entries"]
         assert entry["true_min_boundary"] == 26
 
+    def test_grid_size_three(self, capsys):
+        # 625 vertices and not transitive, so no symmetry cut applies
+        assert run(["verify", "path:5^4", "--sizes", "3", "--output", "json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["entries"]
+        assert entry["true_min_boundary"] == 10
+
     def test_bad_sizes(self, capsys):
         assert run(["verify", "path:3^2", "--sizes", "1,x"]) == 2
         assert "bad --sizes" in capsys.readouterr().err

@@ -163,11 +163,6 @@ class TestConnectedRegular:
         expected = (math.e / 2) * (10 * math.log(2) - x)
         assert connected_regular_bound(sizes, x) == pytest.approx(expected, rel=1e-12)
 
-    def test_explicit_volume_matches_default(self):
-        sizes = (3, 4, 5)
-        total = sum(math.log(s) for s in sizes)
-        assert connected_regular_bound(sizes, 1.0, total) == connected_regular_bound(sizes, 1.0)
-
     def test_dominated_by_allocation(self):
         cases = [
             (("path", 4), ("cycle", 6)),

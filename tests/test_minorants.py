@@ -16,7 +16,9 @@ from isobound import (
     profile_closed_form,
     regular_summary,
 )
-from isobound.minorants import LEFT_INFINITE
+from isobound.minorants import ENDPOINT_TOL, LEFT_INFINITE
+
+from oracles import one_sided_derivatives_by_scan
 
 # Frozen golden values, derived independently before the library existed.
 K3_AT_LOG2 = 0.7381404928570852
@@ -95,6 +97,7 @@ class TestEvaluate:
 class TestHullInvariants:
     def graphs(self):
         yield petersen()
+        yield Graph.from_edges(1, [])  # a one-point minorant
         for fam, m in [("path", 7), ("cycle", 9), ("complete", 6)]:
             yield generate(fam, m)
         rng = random.Random(7)
@@ -121,6 +124,13 @@ class TestHullInvariants:
             assert psi.breakpoints[0].k == 1
             assert psi.breakpoints[-1].k == g.vertex_count
             assert psi.breakpoints[-1].y == 0.0
+            # the derivatives equal a linear scan over the knots at every
+            # breakpoint, half a tolerance either side of it, and at midpoints
+            xs = [b.x for b in psi.breakpoints]
+            points = [x + d for x in xs for d in (-ENDPOINT_TOL / 2, 0.0, ENDPOINT_TOL / 2)]
+            for x in points + [(a + b) / 2 for a, b in zip(xs, xs[1:])]:
+                expected = one_sided_derivatives_by_scan(psi, x, ENDPOINT_TOL)
+                assert psi.one_sided_derivatives(x) == expected, (g, x)
 
     def test_raising_any_vertex_breaks_minorance(self):
         prof = profile_bruteforce(petersen())

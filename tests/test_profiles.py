@@ -37,9 +37,10 @@ def searched(g):
 
 @st.composite
 def random_graphs(draw):
-    """1-11 vertices, each pair an edge with a sparse or a dense probability."""
+    """1-11 vertices, each pair an edge with a sparse, a dense or a near-complete
+    probability (the floor's cap on edges inside the completion binds most there)."""
     m = draw(st.integers(1, 11))
-    density = draw(st.sampled_from([0.2, 0.7]))
+    density = draw(st.sampled_from([0.2, 0.7, 0.9]))
     edges = [p for p in itertools.combinations(range(m), 2) if draw(st.floats(0, 1)) < density]
     return Graph.from_edges(m, edges, label=f"random:{m}")
 
