@@ -21,6 +21,10 @@ above m/2 in profile_bruteforce gets its complement's value as a target: only
 subtrees whose floor exceeds it are pruned, and the search stops at the first
 leaf reaching it, which is the canonical witness.
 
+nested_boundary needs no search: on a product of cliques an initial segment
+of lexicographic order is optimal at every size, so its value comes from the
+clique sizes alone, at any product size.
+
 resolve_profiles is the one place that chooses between closed form and
 search: family graphs (Graph.family set) take the closed form, everything else
 is searched, and each distinct graph is solved once.
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import comb, inf, prod
 
 from .graphs import CapExceededError, Graph, VertexSet, family_entry
 
@@ -175,6 +179,35 @@ def profile_closed_form(family: str, m: int) -> IsoProfile:
         b = boundary(m, k)
         entries.append(ProfileEntry(k, b, Fraction(b, k), VertexSet((1 << k) - 1, k)))
     return IsoProfile(m, tuple(entries))
+
+
+def nested_boundary(sizes, k: int) -> int:
+    """Exact minimum edge boundary of a k-set in K_{m_1} x ... x K_{m_n}.
+
+    Initial segments of lexicographic order are optimal at every size when the
+    smallest clique is the most significant digit (Lindsey, Amer. Math. Monthly
+    71, 1964; Harper 1964 for the hypercube), so the order of `sizes` does not
+    matter.  The product is regular of degree D = sum(m_i - 1), and the value
+    is k D - 2 E(k), E(k) the edges inside the segment.  With the sizes
+    ascending, P the product of all but the first and k = qP + r, the segment
+    is q full slabs plus the first r vertices of the next one, so
+
+        E(k) = q E'(P) + E'(r) + r C(q+1, 2) + (P - r) C(q, 2),
+
+    E' the same count on the remaining factors, E'(P) = P D' / 2 for their
+    degree D'.  The loop unrolls this over the digits: O(n) big-int steps."""
+    sizes = sorted(sizes)
+    total = prod(sizes)
+    if not 1 <= k <= total:
+        raise ValueError(f"size {k} outside 1..{total}")
+    degree = sum(m - 1 for m in sizes)
+    place, rest_degree, r, inner = total, degree, k, 0
+    for m in sizes:
+        place //= m  # P: vertices in one slab of this digit
+        rest_degree -= m - 1  # D': degree inside a slab
+        q, r = divmod(r, place)
+        inner += q * (place * rest_degree // 2) + r * comb(q + 1, 2) + (place - r) * comb(q, 2)
+    return k * degree - 2 * inner
 
 
 def resolve_profiles(graphs, exhaustive: bool = False) -> tuple[IsoProfile, ...]:

@@ -1,9 +1,14 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import first_dirichlet_pair_by_scan
 
 from isobound import (
+    Graph,
+    ProductSpec,
     SlabsOptimalError,
     VerificationEntry,
     VerificationReport,
@@ -29,7 +34,27 @@ C5_INTERPOLATED_MID = 2.2772937677064276
 C5_RESIDUAL = -0.27729376770642755
 
 
+@st.composite
+def file_factor_specs(draw):
+    """2-3 factors without a family, at most 200 product vertices."""
+    factors, vertices = [], 1
+    for i in range(draw(st.integers(2, 3))):
+        m = draw(st.integers(1, min(8, 200 // vertices)))
+        edges = [p for p in itertools.combinations(range(m), 2) if draw(st.booleans())]
+        factors.append(Graph.from_edges(m, edges, label=f"file{i}"))
+        vertices *= m
+    return ProductSpec(tuple(factors))
+
+
 class TestVerifyTheorem:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(file_factor_specs())
+    def test_size_one_is_least_degree_sum(self, spec):
+        truth = sum(min(f.degrees) for f in spec.factors)
+        assert min_boundary(cartesian_product(spec), 1, max_vertices=200)[0] == truth
+        (entry,) = verify_theorem(spec, [1]).entries
+        assert entry.true_min_boundary == truth
+
     def test_grid_3x3(self):
         report = verify_theorem(parse_product_spec("path:3^2"))
         assert report.ok

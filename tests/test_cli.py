@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import isobound
-from isobound import minorants, profiles
+from isobound import certify, minorants, profiles
 from isobound.cli import build_parser, parse_log_size, run
 from isobound.graphs import MAX_VERTICES_ENV, ParseError
 
@@ -255,8 +255,15 @@ class TestVerifyCommand:
         assert capsys.readouterr().out.splitlines()[1] == "1,2,2.0,0.0,True"
 
     def test_hypercube_size_three(self, capsys):
-        # 1024 vertices: the transitive product searches only sets holding 0
+        # 1024 vertices: the nested order gives the truth
         assert run(["verify", "complete:2^10", "--sizes", "3", "--output", "json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["entries"]
+        assert entry["true_min_boundary"] == 26
+
+    def test_transitive_product_size_three(self, capsys):
+        # C4^5 is Q10 again, but not a clique product, so it is built and the
+        # transitive search tries only sets holding 0
+        assert run(["verify", "cycle:4^5", "--sizes", "3", "--output", "json"]) == 0
         (entry,) = json.loads(capsys.readouterr().out)["entries"]
         assert entry["true_min_boundary"] == 26
 
@@ -276,6 +283,39 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no sizes to verify" in captured.err
+
+
+class TestVerifyWithoutProduct:
+    """Sizes whose truth the factors give exactly never build the product."""
+
+    @pytest.fixture
+    def no_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("product built")
+
+        monkeypatch.setattr(certify, "cartesian_product", refuse)
+
+    @pytest.mark.parametrize("spec,sizes,truths", [
+        ("complete:2^60", "1,8,1000", [60, 456, 50136]),
+        ("path:13^20", "1", [20]),
+        ("cycle:5^100", f"1,{5**100}", [200, 0]),
+        ("complete:2^4", None, [4, 6, 8, 8, 10, 10, 10, 8, 10, 10, 10, 8, 8, 6, 4, 0]),
+    ], ids=["Q60", "P13^20", "C5^100-whole", "Q4-all-sizes"])
+    def test_exact_truths(self, spec, sizes, truths, no_product, capsys):
+        argv = ["verify", spec, "--output", "json"] + (["--sizes", sizes] if sizes else [])
+        assert run(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [e["true_min_boundary"] for e in doc["entries"]] == truths
+        assert doc["ok"] is True
+
+    @pytest.mark.parametrize("spec", ["complete:2^60", "cycle:5^9"])
+    def test_all_sizes_refused_before_building(self, spec, no_product, capsys):
+        assert run(["verify", spec]) == 2
+        assert "all-size verification needs at most 20 vertices" in capsys.readouterr().err
+
+    def test_search_still_refused_above_cap(self, capsys):
+        assert run(["verify", "path:13^6", "--sizes", "2"]) == 2
+        assert "product needs 4826809 vertices but the cap is" in capsys.readouterr().err
 
 
 class TestCertifyQ71Command:
@@ -356,8 +396,9 @@ class TestDistinctFactors:
 
     @pytest.mark.parametrize("spec,vertices", [("complete:2^15", 2**15), ("path:13^4", 13**4)])
     def test_family_factors_never_searched(self, spec, vertices, searched, capsys):
-        assert run(["verify", spec, "--sizes", "1"]) == 0
-        assert searched == [vertices]  # only the product's true minimum at k = 1
+        # neither the factors nor the product: both truths come from the factors
+        assert run(["verify", spec, "--sizes", f"1,{vertices}"]) == 0
+        assert searched == []
 
     def test_exhaustive_forces_search(self, searched, capsys):
         assert run(["profile", "cycle:6", "--exhaustive"]) == 0

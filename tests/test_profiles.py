@@ -19,7 +19,7 @@ from isobound import (
     profile_bruteforce,
     profile_closed_form,
 )
-from isobound.profiles import resolve_profiles
+from isobound.profiles import nested_boundary, resolve_profiles
 
 from oracles import min_boundary_by_enumeration
 
@@ -43,6 +43,21 @@ def random_graphs(draw):
     density = draw(st.sampled_from([0.2, 0.7, 0.9]))
     edges = [p for p in itertools.combinations(range(m), 2) if draw(st.floats(0, 1)) < density]
     return Graph.from_edges(m, edges, label=f"random:{m}")
+
+
+def clique_products(limit):
+    """Ascending sizes m_1 <= ... <= m_n, n >= 2 and every m_i >= 2, whose
+    product has at most limit vertices."""
+    out = []
+
+    def extend(sizes, product):
+        if len(sizes) >= 2:
+            out.append(tuple(sizes))
+        for m in range(sizes[-1] if sizes else 2, limit // product + 1):
+            extend(sizes + [m], product * m)
+
+    extend([], 1)
+    return out
 
 
 def random_connected_graph(rng, m):
@@ -279,3 +294,42 @@ class TestHypercube:
             value, witness = min_boundary(q4, k)
             assert value == k * (4 - t)
             assert witness.members() == tuple(range(k))
+
+
+class TestNestedBoundary:
+    """The lexicographic order's value on clique products against the
+    enumeration oracle, and the subcube statement far beyond any search."""
+
+    # largest-first specs and single cliques ride along: the order of the
+    # sizes must not matter
+    @pytest.mark.parametrize("sizes", [*clique_products(20), (5, 4), (3, 2, 2), (7,), (1, 3)])
+    def test_matches_enumeration(self, sizes):
+        g = cartesian_product([generate("complete", m) for m in sizes])
+        m = g.vertex_count
+        values = [nested_boundary(sizes, k) for k in range(1, m + 1)]
+        # the oracle takes seconds at the middle sizes of 18-20 vertices, where
+        # the search stands in for it
+        ks = range(1, m + 1) if m <= 16 else [*range(1, 5), *range(m - 4, m + 1)]
+        assert [values[k - 1] for k in ks] == [min_boundary_by_enumeration(g, k)[0] for k in ks]
+        assert values == [e.min_boundary for e in profile_bruteforce(g).entries]
+
+    @pytest.mark.parametrize("m,n", [(2, 60), (3, 40), (5, 25), (10, 12)])
+    def test_subcubes(self, m, n):
+        # a subcube K_m^d x {0}^(n-d) has m^d vertices of degree n(m-1), and
+        # each keeps its d(m-1) edges inside
+        for d in range(n + 1):
+            assert nested_boundary([m] * n, m**d) == m**d * (n - d) * (m - 1)
+
+    def test_thousands_of_factors(self):
+        sizes = [3] * 1000 + [2] * 1000
+        assert nested_boundary(sizes, 1) == 3000
+        # the segment of size 3^1000 is the subcube on the K3 coordinates
+        assert nested_boundary(sizes, 3**1000) == 3**1000 * 1000
+        # a K3 coordinate keeps 2 edges per log 3, a K2 one 1 per log 2, so the
+        # segment beats the subcube on the K2 coordinates
+        assert nested_boundary(sizes, 2**1000) < 2**1000 * 2000
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_size_out_of_range(self, k):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            nested_boundary([2, 2], k)
