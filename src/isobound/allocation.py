@@ -36,14 +36,6 @@ class AllocationResult:
     bound_per_vertex: float
     bound_total: float | None = None  # only when an exact size was supplied
 
-    def to_json_dict(self) -> dict:
-        return {
-            "target_log_size": self.target_log_size,
-            "allocation": list(self.allocation),
-            "bound_per_vertex": self.bound_per_vertex,
-            "bound_total": self.bound_total,
-        }
-
 
 def _budget(log_size: float, total: float) -> float:
     """log_size clamped to [0, total].  The tolerance is relative because a
@@ -144,23 +136,6 @@ class SharpnessCertificate:
     log_size: float  # sum of log k_i
     construction_per_vertex: float  # sum of i_{k_i}
     bound_per_vertex: float  # greedy bound at the same log size
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "assignments": [
-                {
-                    "factor": a.factor,
-                    "k": a.k,
-                    "isoper_ratio": a.isoper_ratio,
-                    "witness": a.witness.to_hex(),
-                }
-                for a in self.assignments
-            ],
-            "log_size": self.log_size,
-            "construction_per_vertex": self.construction_per_vertex,
-            "bound_per_vertex": self.bound_per_vertex,
-        }
 
 
 def sharpness_certificate(profiles, minorants, slope: float) -> SharpnessCertificate:

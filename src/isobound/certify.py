@@ -70,22 +70,6 @@ class VerificationReport:
     def tight_sizes(self) -> tuple[int, ...]:
         return tuple(e.k for e in self.entries if e.tight)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "ok": self.ok,
-            "entries": [
-                {
-                    "k": e.k,
-                    "true_min_boundary": e.true_min_boundary,
-                    "bound_total": e.bound_total,
-                    "gap": e.gap,
-                    "tight": e.tight,
-                }
-                for e in self.entries
-            ],
-        }
-
 
 def _exact_truth(spec: ProductSpec, k: int) -> int | None:
     """The minimum boundary at size k from the factors alone, or None when it
@@ -163,18 +147,6 @@ class NonlinearityWitness:
     interpolated_mid: float  # line through the outer points at the middle size
     residual: float  # exact middle value minus the interpolation (negative)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "base_label": self.base_label,
-            "power": self.power,
-            "ks": list(self.ks),
-            "sizes": [str(a) for a in self.sizes],  # may exceed double range
-            "exact_per_vertex": list(self.exact_per_vertex),
-            "lower_per_vertex": list(self.lower_per_vertex),
-            "interpolated_mid": self.interpolated_mid,
-            "residual": self.residual,
-        }
-
 
 def q71_witness(g: Graph, profile: IsoProfile, psi: ConvexMinorant, n: int) -> NonlinearityWitness:
     """Three sizes on G^n whose exact minima are not collinear in log size.
@@ -230,22 +202,6 @@ class DirichletCertificate:
     construction_per_block: float  # t * i_{k*}, at most s*y + eps
     lhs: float  # boundary of the adjusted set, normalized per m^t
     rhs: float  # slab boundary s*d, same normalization
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertex_count": self.vertex_count,
-            "degree": self.degree,
-            "k_star": self.k_star,
-            "y_intercept": self.y_intercept,
-            "i_k_star": self.i_k_star,
-            "epsilon": self.epsilon,
-            "s": self.s,
-            "t": self.t,
-            "approx_error": self.approx_error,
-            "construction_per_block": self.construction_per_block,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
 
 
 def q72_certificate(
@@ -371,13 +327,3 @@ def _dirichlet_pair(
                 if err <= half:
                     return s, t, err
     return None
-
-
-def b_t_boundary(m: int, d: int, n: int, t: int) -> float:
-    """Per-vertex boundary of the slab {u}^t x V^{n-t} in an m^n-vertex
-    product of d-regular factors: exactly t * d."""
-    if m < 2 or d < 1:
-        raise ValueError(f"need m >= 2 and d >= 1, got m={m}, d={d}")
-    if not 1 <= t <= n:
-        raise ValueError(f"slab depth {t} outside 1..{n}")
-    return float(t * d)

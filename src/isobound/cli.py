@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 
 from .allocation import theorem_bound
 from .certify import (
@@ -92,10 +92,26 @@ def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _emit_csv(header: list[str], rows) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(repr(c) if isinstance(c, float) else str(c) for c in row))
+def _record(x):
+    """A dataclass as a dict of its fields in declaration order, recursively;
+    tuples become lists.  Every JSON and CSV output is built from these."""
+    if isinstance(x, tuple):
+        return list(map(_record, x))
+    if hasattr(x, "__dataclass_fields__"):  # is_dataclass, without its cost on each scalar
+        return {f.name: _record(getattr(x, f.name)) for f in fields(x)}
+    return x
+
+
+def _emit_csv(records) -> None:
+    """One row per record, under the first record's keys."""
+    print(",".join(records[0]))
+    for r in records:
+        print(",".join(repr(c) if isinstance(c, float) else str(c) for c in r.values()))
+
+
+def _pairs(doc: dict) -> list[dict]:
+    """A flat document as sorted key/value records, for CSV."""
+    return [{"key": k, "value": v} for k, v in sorted(doc.items())]
 
 
 def _target_graph_and_profile(args, exhaustive: bool = False) -> tuple[Graph, IsoProfile]:
@@ -109,25 +125,20 @@ def _target_graph_and_profile(args, exhaustive: bool = False) -> tuple[Graph, Is
 
 def _cmd_profile(args) -> int:
     g, prof = _target_graph_and_profile(args, args.exhaustive)
+    rows = [
+        {
+            "k": e.k,
+            "min_boundary": e.min_boundary,
+            "i_k_num": e.ratio.numerator,
+            "i_k_den": e.ratio.denominator,
+            "witness": e.witness.to_hex(),
+        }
+        for e in prof.entries
+    ]
     if args.output == "csv":
-        sys.stdout.write(prof.to_csv())
+        _emit_csv(rows)
     elif args.output == "json":
-        _emit_json(
-            {
-                "graph": g.label,
-                "vertex_count": prof.graph_size,
-                "profile": [
-                    {
-                        "k": e.k,
-                        "min_boundary": e.min_boundary,
-                        "i_k_num": e.ratio.numerator,
-                        "i_k_den": e.ratio.denominator,
-                        "witness": e.witness.to_hex(),
-                    }
-                    for e in prof.entries
-                ],
-            }
-        )
+        _emit_json({"graph": g.label, "vertex_count": prof.graph_size, "profile": rows})
     else:
         print(f"profile of {g.label} ({prof.graph_size} vertices)")
         for e in prof.entries:
@@ -145,13 +156,11 @@ def _cmd_minorant(args) -> int:
     summary = None
     if g.vertex_count >= 2 and g.is_regular() and g.is_connected():
         summary = regular_summary(g, prof)
-    doc = psi.to_json_dict()
-    doc["graph"] = g.label
-    doc["regular_summary"] = None if summary is None else asdict(summary)
+    doc = _record(psi)
     if args.output == "json":
-        _emit_json(doc)
+        _emit_json({**doc, "graph": g.label, "regular_summary": _record(summary)})
     elif args.output == "csv":
-        _emit_csv(["k", "x", "y"], [(b.k, b.x, b.y) for b in psi.breakpoints])
+        _emit_csv(doc["breakpoints"])
     else:
         print(f"convex minorant of {g.label}: domain [0, {_fmt(psi.domain_end)}]")
         for b in psi.breakpoints:
@@ -222,20 +231,14 @@ def _cmd_bound(args) -> int:
     minorants = build_minorants(factor_profiles)
     result = theorem_bound(minorants, log_size if size is None else None, size=size)
     reports = _closed_form_reports(spec, factor_profiles, log_size, size)
+    theorem, closed = _record(result), [_record(r) for r in reports]
     if args.output == "json":
-        _emit_json(
-            {
-                "spec": args.spec,
-                "size": size,
-                "log_size": log_size,
-                "theorem": result.to_json_dict(),
-                "closed_forms": [r.to_json_dict() for r in reports],
-            }
-        )
+        doc = {"spec": args.spec, "size": size, "log_size": log_size}
+        _emit_json({**doc, "theorem": theorem, "closed_forms": closed})
     elif args.output == "csv":
-        rows = [("theorem", result.bound_per_vertex, result.bound_total)]
-        rows += [(r.family, r.bound_per_vertex, r.bound_total) for r in reports]
-        _emit_csv(["name", "bound_per_vertex", "bound_total"], rows)
+        named = [("theorem", theorem)] + [(r["family"], r) for r in closed]
+        keys = ("bound_per_vertex", "bound_total")
+        _emit_csv([{"name": name, **{k: r[k] for k in keys}} for name, r in named])
     else:
         print(f"bound for {spec.label()} at log size {_fmt(log_size)}")
         line = f"theorem: {_fmt(result.bound_per_vertex)} per vertex"
@@ -279,22 +282,15 @@ def _cmd_compare(args) -> int:
         x = j * hi / args.samples
         ours = ours_fn(n, m, x)
         bl = bl_bound(n, m, x, torus=torus)
-        rows.append((x, ours, bl, bl / ours))
+        rows.append({"log_size": x, "ours": ours, "bl": bl, "ratio": bl / ours})
     if args.output == "json":
-        _emit_json(
-            {
-                "spec": args.spec,
-                "rows": [
-                    {"log_size": x, "ours": o, "bl": b, "ratio": r} for x, o, b, r in rows
-                ],
-            }
-        )
+        _emit_json({"spec": args.spec, "rows": rows})
     elif args.output == "csv":
-        _emit_csv(["log_size", "ours", "bl", "ratio"], rows)
+        _emit_csv(rows)
     else:  # human output shows the csv table, aligned
         print(f"{'log_size':>14} {'ours':>14} {'bl':>14} {'ratio':>10}")
-        for x, o, b, r in rows:
-            print(f"{x:14.6f} {o:14.6f} {b:14.6f} {r:10.6f}")
+        for r in rows:
+            print(f"{r['log_size']:14.6f} {r['ours']:14.6f} {r['bl']:14.6f} {r['ratio']:10.6f}")
     return 0
 
 
@@ -308,16 +304,11 @@ def _cmd_verify(args) -> int:
             print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
             return 2
     report = verify_theorem(spec, ks)
+    doc = _record(report)
     if args.output == "json":
-        _emit_json(report.to_json_dict())
+        _emit_json({**doc, "ok": report.ok})
     elif args.output == "csv":
-        _emit_csv(
-            ["k", "true_min_boundary", "bound_total", "gap", "tight"],
-            [
-                (e.k, e.true_min_boundary, e.bound_total, e.gap, e.tight)
-                for e in report.entries
-            ],
-        )
+        _emit_csv(doc["entries"])
     else:
         print(f"verification of {report.description}")
         for e in report.entries:
@@ -334,11 +325,18 @@ def _cmd_certify_q71(args) -> int:
     g, prof = _target_graph_and_profile(args)
     psi = build_minorant(prof)
     witness = q71_witness(g, prof, psi, args.power)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0, or absent: no limit
+    big = witness.sizes[-1]
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:  # 10^L has > 3L bits
+        raise ValueError(
+            f"witness size {witness.ks[-1]}^{witness.power} has more than {limit} digits,"
+            f" the interpreter's limit for printing an integer; use a smaller --power"
+        )
+    doc = {**_record(witness), "sizes": [str(a) for a in witness.sizes]}  # may exceed double range
     if args.output == "json":
-        _emit_json(witness.to_json_dict())
+        _emit_json(doc)
     elif args.output == "csv":
-        doc = witness.to_json_dict()
-        _emit_csv(["key", "value"], sorted(doc.items()))
+        _emit_csv(_pairs(doc))
     else:
         print(f"nonlinearity witness for {g.label}^{witness.power}")
         for k, a, e in zip(witness.ks, witness.sizes, witness.exact_per_vertex):
@@ -376,12 +374,11 @@ def _cmd_certify_q72(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    doc = _record(cert)
     if args.output == "json":
-        doc = cert.to_json_dict()
-        doc["slabs_optimal"] = False
-        _emit_json(doc)
+        _emit_json({**doc, "slabs_optimal": False})
     elif args.output == "csv":
-        _emit_csv(["key", "value"], sorted(cert.to_json_dict().items()))
+        _emit_csv(_pairs(doc))
     else:
         print(f"slab counterexample certificate for {g.label}")
         print(
@@ -427,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("compare", _cmd_compare, help="closed form vs power-of-r benchmark")
     p.add_argument("--samples", type=int, default=100, help="number of log-size samples")
 
-    p = add("verify", _cmd_verify, help="exhaustive truth vs bound on a product")
+    p = add("verify", _cmd_verify, help="true minimum (exact from factors, else searched) vs bound")
     p.add_argument("--sizes", help="comma-separated sizes (default: all sizes)")
 
     p = add("certify-q71", _cmd_certify_q71, help="nonlinearity witness for a power")

@@ -107,12 +107,3 @@ class BoundReport:
     bound_per_vertex: float
     bound_total: float | None = None
     comparison: dict | None = None  # e.g. {"bl_per_vertex": ..., "ratio": ...}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "parameters": self.parameters,
-            "bound_per_vertex": self.bound_per_vertex,
-            "bound_total": self.bound_total,
-            "comparison": self.comparison,
-        }

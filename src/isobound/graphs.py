@@ -141,13 +141,6 @@ class VertexSet:
             mask ^= low
         return tuple(out)
 
-    def contains(self, v: int) -> bool:
-        return (self.mask >> v) & 1 == 1
-
-    def complement(self, vertex_count: int) -> "VertexSet":
-        mask = ((1 << vertex_count) - 1) & ~self.mask
-        return VertexSet(mask, vertex_count - self.size)
-
 
 @dataclass(frozen=True)
 class ProductSpec:
@@ -162,9 +155,6 @@ class ProductSpec:
     @property
     def vertex_count(self) -> int:
         return math.prod(f.vertex_count for f in self.factors)
-
-    def log_volume(self) -> float:
-        return sum(math.log(f.vertex_count) for f in self.factors)
 
     def label(self) -> str:
         parts = []
@@ -320,10 +310,9 @@ def _strides(sizes) -> list[int]:
     return strides
 
 
-def cartesian_product(spec, *, max_vertices: int | None = None) -> Graph:
+def cartesian_product(spec: ProductSpec, *, max_vertices: int | None = None) -> Graph:
     """Materialize the product; refuses when the vertex count exceeds the cap."""
-    factors = spec.factors if isinstance(spec, ProductSpec) else tuple(spec)
-    spec = spec if isinstance(spec, ProductSpec) else ProductSpec(factors)
+    factors = spec.factors
     cap = max_vertex_cap() if max_vertices is None else max_vertices
     total = spec.vertex_count
     if total > cap:

@@ -90,19 +90,6 @@ class ConvexMinorant:
                 return left, right
         return slopes[j], slopes[j]
 
-    def last_segment_start_k(self) -> int:
-        """Profile index where the final hull segment begins (m if psi is a
-        single point)."""
-        if len(self.breakpoints) == 1:
-            return self.breakpoints[0].k
-        return self.breakpoints[-2].k
-
-    def to_json_dict(self) -> dict:
-        return {
-            "domain_end": self.domain_end,
-            "breakpoints": [{"k": b.k, "x": b.x, "y": b.y} for b in self.breakpoints],
-        }
-
 
 def build_minorant(profile: IsoProfile) -> ConvexMinorant:
     """Monotone-chain lower hull over the points (log k, i_k), k = 1..m.

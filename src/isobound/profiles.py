@@ -65,15 +65,6 @@ class IsoProfile:
     def ratio(self, k: int) -> Fraction:
         return self.entry(k).ratio
 
-    def to_csv(self) -> str:
-        lines = ["k,min_boundary,i_k_num,i_k_den,witness"]
-        for e in self.entries:
-            lines.append(
-                f"{e.k},{e.min_boundary},{e.ratio.numerator},{e.ratio.denominator},"
-                f"{e.witness.to_hex()}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def _check_cap(m: int, max_vertices: int | None) -> None:
     cap = SEARCH_CAP if max_vertices is None else max_vertices

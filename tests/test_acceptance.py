@@ -121,10 +121,10 @@ def test_criterion_05_path_knee_tracks_m_over_e(capsys):
     with criterion(capsys, 5, "last hull segment of P_m starts at floor or ceil of m/e"):
         for m in range(3, 51):
             psi = build_minorant(profile_closed_form("path", m))
-            knee = psi.last_segment_start_k()
+            knee = psi.breakpoints[-2].k
             assert knee in (math.floor(m / math.e), math.ceil(m / math.e))
-        assert build_minorant(profile_closed_form("path", 3)).last_segment_start_k() == 1
-        assert build_minorant(profile_closed_form("path", 5)).last_segment_start_k() == 2
+        assert build_minorant(profile_closed_form("path", 3)).breakpoints[-2].k == 1
+        assert build_minorant(profile_closed_form("path", 5)).breakpoints[-2].k == 2
 
 
 def test_criterion_06_benchmark_comparison(capsys):

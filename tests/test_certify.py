@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -12,7 +13,6 @@ from isobound import (
     SlabsOptimalError,
     VerificationEntry,
     VerificationReport,
-    b_t_boundary,
     build_minorant,
     cartesian_product,
     edge_boundary,
@@ -29,6 +29,7 @@ from isobound import (
     verify_theorem,
 )
 from isobound.certify import _beta_convergents, _convergents, _dirichlet_pair
+from isobound.cli import run
 
 C5_INTERPOLATED_MID = 2.2772937677064276
 C5_RESIDUAL = -0.27729376770642755
@@ -105,9 +106,9 @@ class TestVerifyTheorem:
         assert VerificationReport("x", (good,)).ok
         assert not VerificationReport("x", (good, bad)).ok
 
-    def test_json_shape(self):
-        report = verify_theorem(parse_product_spec("complete:2^2"))
-        doc = report.to_json_dict()
+    def test_json_shape(self, capsys):
+        assert run(["verify", "complete:2^2", "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
         assert [e["k"] for e in doc["entries"]] == [1, 2, 3, 4]
         assert all(set(e) == {"k", "true_min_boundary", "bound_total", "gap", "tight"} for e in doc["entries"])
@@ -142,12 +143,13 @@ class TestNonlinearityWitness:
         box = product_vertex_set(spec, [prof.entry(2).witness] * 2)
         assert edge_boundary(product, box) == truth
 
-    def test_huge_power_stays_symbolic(self):
+    def test_huge_power_stays_symbolic(self, capsys):
         g, prof, psi = self.c5_parts()
         w = q71_witness(g, prof, psi, 40)
         assert w.sizes == (1, 2**40, 5**40)
         assert w.residual < -1e-6
-        assert w.to_json_dict()["sizes"][2] == str(5**40)
+        assert run(["certify-q71", "cycle:5", "--power", "40", "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sizes"][2] == str(5**40)
 
     def test_path_cube(self):
         prof = profile_closed_form("path", 5)
@@ -247,10 +249,9 @@ class TestDirichletCertificate:
         with pytest.raises(ValueError, match="eps_start must be positive and finite"):
             q72_certificate(g, summary, eps_start=eps_start)
 
-    def test_json_fields(self):
-        g = generate("cycle", 5)
-        summary = regular_summary(g, profile_bruteforce(g))
-        doc = q72_certificate(g, summary).to_json_dict()
+    def test_json_fields(self, capsys):
+        assert run(["certify-q72", "cycle:5", "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
         assert doc["vertex_count"] == 5
         assert doc["lhs"] < doc["rhs"]
 
@@ -312,8 +313,16 @@ class TestDirichletPair:
 
 
 class TestSlabBoundary:
+    """The slab {u}^t x V^(n-t) in a product of d-regular factors has
+    boundary |slab| * t * d."""
+
     def test_value(self):
-        assert b_t_boundary(4, 2, 5, 3) == 6.0
+        spec = parse_product_spec("cycle:4^3")
+        single = profile_closed_form("cycle", 4).entry(1).witness
+        full = profile_closed_form("cycle", 4).entry(4).witness
+        slab = product_vertex_set(spec, [single, single, full])
+        assert slab.size == 4
+        assert edge_boundary(cartesian_product(spec), slab) == slab.size * 2 * 2
 
     def test_matches_materialized_slab(self):
         spec = parse_product_spec("cycle:4^2")
@@ -322,12 +331,4 @@ class TestSlabBoundary:
         single = profile_closed_form("cycle", 4).entry(1).witness
         slab = product_vertex_set(spec, [single, full])
         assert slab.size == 4
-        assert edge_boundary(product, slab) == slab.size * b_t_boundary(4, 2, 2, 1)
-
-    def test_rejects(self):
-        with pytest.raises(ValueError, match="slab depth"):
-            b_t_boundary(4, 2, 3, 0)
-        with pytest.raises(ValueError, match="slab depth"):
-            b_t_boundary(4, 2, 3, 4)
-        with pytest.raises(ValueError, match="m >= 2"):
-            b_t_boundary(1, 1, 3, 1)
+        assert edge_boundary(product, slab) == slab.size * 1 * 2

@@ -334,6 +334,21 @@ class TestCertifyQ71Command:
         assert run(["certify-q71", "complete:4", "--power", "2"]) == 2
         assert "single linear piece" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output", ["human", "json", "csv"])
+    def test_huge_power_refused_before_output(self, output, capsys):
+        # 5^7000 has 4893 digits: too many for str(int) under the default limit
+        assert run(["certify-q71", "cycle:5", "--power", "7000", "--output", output]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"more than {sys.get_int_max_str_digits()} digits" in captured.err
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() != 4300, reason="needs the default limit")
+    def test_digit_limit_edge(self, capsys):
+        # 5^6151 has 4300 digits, 5^6152 has 4301
+        assert run(["certify-q71", "cycle:5", "--power", "6151", "--output", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["sizes"][2]) == 4300
+        assert run(["certify-q71", "cycle:5", "--power", "6152", "--output", "json"]) == 2
+
 
 class TestCertifyQ72Command:
     def test_counterexample(self, capsys):

@@ -1,10 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
 from isobound import (
-    BoundReport,
     bl_bound,
     build_minorant,
     connected_regular_bound,
@@ -21,6 +21,7 @@ from isobound import (
     theorem_bound,
     torus_bound,
 )
+from isobound.cli import run
 
 
 def family_minorant(family, m):
@@ -227,14 +228,9 @@ class TestRegularPower:
 
 
 class TestBoundReport:
-    def test_json_shape(self):
-        report = BoundReport(
-            family="hamming",
-            parameters={"n": 3, "m": 2},
-            bound_per_vertex=1.5,
-            bound_total=12.0,
-        )
-        doc = report.to_json_dict()
+    def test_json_shape(self, capsys):
+        assert run(["bound", "complete:2^3", "--size", "4", "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)["closed_forms"][0]
         assert doc["family"] == "hamming"
         assert doc["parameters"] == {"n": 3, "m": 2}
         assert doc["comparison"] is None

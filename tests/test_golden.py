@@ -75,6 +75,7 @@ ERRORS = [
     ("err_verify_all_sizes", ["verify", "cycle:21"], 2),
     ("err_search_cap", ["profile", "file:g13.txt^2"], 2),
     ("err_q71_single_piece", ["certify-q71", "complete:4", "--power", "2"], 2),
+    ("err_q71_huge_power", ["certify-q71", "cycle:5", "--power", "7000"], 2),
     ("err_q72_product", ["certify-q72", "path:3 x path:3"], 2),
     ("err_q72_irregular", ["certify-q72", "path:4"], 2),
     ("err_q72_search_failed", ["certify-q72", "cycle:5", "--eps-start", "1e-8"], 1),

@@ -1,11 +1,10 @@
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
 from isobound import (
-    Breakpoint,
-    ConvexMinorant,
     Graph,
     build_minorant,
     cartesian_product,
@@ -169,15 +168,9 @@ class TestDerivatives:
         psi.one_sided_derivatives(1.0)
         assert psi.xs is psi.xs
         assert psi.slopes() is psi.slopes()
-        # the caches are not fields: equality, hashing and to_json_dict ignore them
+        # the caches are not fields: equality, hashing and the CLI's records ignore them
         assert psi == fresh and hash(psi) == hash(fresh)
-        assert psi.to_json_dict() == fresh.to_json_dict()
-
-    def test_last_segment_start(self):
-        assert path_minorant(3).last_segment_start_k() == 1
-        assert path_minorant(5).last_segment_start_k() == 2
-        single = ConvexMinorant(0.0, (Breakpoint(1, 0.0, 0.0),))
-        assert single.last_segment_start_k() == 1
+        assert {f.name for f in fields(psi)} == {"domain_end", "breakpoints"}
 
 
 class TestRegularSummary:

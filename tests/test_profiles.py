@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from isobound import (
     CapExceededError,
     Graph,
+    ProductSpec,
     VertexSet,
     cartesian_product,
     edge_boundary,
@@ -19,6 +20,7 @@ from isobound import (
     profile_bruteforce,
     profile_closed_form,
 )
+from isobound.cli import run
 from isobound.profiles import nested_boundary, resolve_profiles
 
 from oracles import min_boundary_by_enumeration
@@ -229,7 +231,7 @@ class TestSymmetryCuts:
     def test_petersen_prism(self):
         # the oracle takes seconds at the middle sizes of 20 vertices, so check
         # the outer ones: k <= 5 and their complement-target sizes k >= 15
-        g = cartesian_product([petersen(), generate("complete", 2)])
+        g = cartesian_product(ProductSpec((petersen(), generate("complete", 2))))
         assert g.vertex_transitive
         ks = [*range(1, 6), *range(15, 21)]
         profile = searched(g)
@@ -268,9 +270,9 @@ class TestProfileContainer:
         with pytest.raises(ValueError, match="outside"):
             prof.entry(5)
 
-    def test_csv_round_trip(self):
-        prof = profile_bruteforce(generate("cycle", 5))
-        lines = prof.to_csv().splitlines()
+    def test_csv_round_trip(self, capsys):
+        assert run(["profile", "cycle:5", "--exhaustive", "--output", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "k,min_boundary,i_k_num,i_k_den,witness"
         assert len(lines) == 6
         k, b, num, den, wit = lines[1].split(",")
@@ -304,7 +306,7 @@ class TestNestedBoundary:
     # sizes must not matter
     @pytest.mark.parametrize("sizes", [*clique_products(20), (5, 4), (3, 2, 2), (7,), (1, 3)])
     def test_matches_enumeration(self, sizes):
-        g = cartesian_product([generate("complete", m) for m in sizes])
+        g = cartesian_product(ProductSpec(tuple(generate("complete", m) for m in sizes)))
         m = g.vertex_count
         values = [nested_boundary(sizes, k) for k in range(1, m + 1)]
         # the oracle takes seconds at the middle sizes of 18-20 vertices, where
