@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 from .graphs import VertexSet
-from .minorants import ConvexMinorant
 from .profiles import IsoProfile
 
 BUDGET_TOL = 1e-12
@@ -109,16 +108,6 @@ def theorem_bound(
         bound_per_vertex=value,
         bound_total=None if size is None else size * value,
     )
-
-
-def homogeneous_bound(psi: ConvexMinorant, n: int, log_size: float) -> float:
-    """n identical factors: the optimal allocation is even, so the bound is
-    n * psi(log_size / n)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1 factors, got {n}")
-    budget = _budget(log_size, n * psi.domain_end)
-    # the whole product exactly: (n * d) / n may round below d
-    return 0.0 if budget == n * psi.domain_end else n * psi.evaluate(budget / n)
 
 
 @dataclass(frozen=True)

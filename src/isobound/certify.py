@@ -29,6 +29,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .allocation import theorem_bound
@@ -84,20 +85,15 @@ def _exact_truth(spec: ProductSpec, k: int) -> int | None:
     return None
 
 
-def verify_theorem(
-    spec: ProductSpec,
-    ks=None,
-    *,
-    max_vertices: int | None = None,
-) -> VerificationReport:
+def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     """Exact truth vs allocation bound at each size of a product.
 
     With ks=None every size is checked, which requires at most ALL_K_CAP
     vertices.  Truths come from _exact_truth where the factors determine them.
-    Only when some size is left is the product materialized (max_vertices
-    overrides the cap), once and before any search, so a product over the cap
-    is refused up front.  Factor profiles come from resolve_profiles, so family
-    factors of any size use their closed form.
+    Only when some size is left is the product materialized, once and before
+    any search (one search budget for all sizes, or one per listed size), so a
+    product over the materialization cap is refused up front.  Factor profiles
+    come from resolve_profiles, so family factors of any size use their closed form.
     """
     if ks is not None:
         ks = tuple(ks)
@@ -117,14 +113,14 @@ def verify_theorem(
             if not 1 <= k <= m:
                 raise ValueError(f"size {k} outside 1..{m}")
     truths = [_exact_truth(spec, k) for k in ks]
-    product = cartesian_product(spec, max_vertices=max_vertices) if None in truths else None
+    product = cartesian_product(spec) if None in truths else None
     minorants = build_minorants(resolve_profiles(spec.factors))
     if product is not None:
         if every_size:  # one profile search, so sizes above m/2 get complement targets
-            truths = [e.min_boundary for e in profile_bruteforce(product, max_vertices=m).entries]
+            truths = [e.min_boundary for e in profile_bruteforce(product).entries]
         else:
             truths = [
-                min_boundary(product, k, max_vertices=m)[0] if truth is None else truth
+                min_boundary(product, k)[0] if truth is None else truth
                 for k, truth in zip(ks, truths)
             ]
     entries = []
@@ -164,6 +160,13 @@ def q71_witness(g: Graph, profile: IsoProfile, psi: ConvexMinorant, n: int) -> N
         )
     bps = psi.breakpoints[:3]
     ks = tuple(b.k for b in bps)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0, or absent: no limit
+    # the largest size ks[2]^n has about n log10 ks[2] digits: far past the limit, refuse unbuilt
+    if limit and (n > (limit + 1) / math.log10(ks[2]) or ks[2] ** n >= 10**limit):
+        raise ValueError(
+            f"witness size {ks[2]}^{n} has more than {limit} digits,"
+            f" the interpreter's limit for printing an integer; use a smaller --power"
+        )
     sizes = tuple(k**n for k in ks)
     exact = tuple(n * float(profile.ratio(k)) for k in ks)
     lower = tuple(n * psi.evaluate(b.x) for b in bps)

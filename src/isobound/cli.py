@@ -325,13 +325,6 @@ def _cmd_certify_q71(args) -> int:
     g, prof = _target_graph_and_profile(args)
     psi = build_minorant(prof)
     witness = q71_witness(g, prof, psi, args.power)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0, or absent: no limit
-    big = witness.sizes[-1]
-    if limit and big.bit_length() > 3 * limit and big >= 10**limit:  # 10^L has > 3L bits
-        raise ValueError(
-            f"witness size {witness.ks[-1]}^{witness.power} has more than {limit} digits,"
-            f" the interpreter's limit for printing an integer; use a smaller --power"
-        )
     doc = {**_record(witness), "sizes": [str(a) for a in witness.sizes]}  # may exceed double range
     if args.output == "json":
         _emit_json(doc)

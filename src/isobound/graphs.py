@@ -29,7 +29,7 @@ class ParseError(ValueError):
 
 
 class CapExceededError(ValueError):
-    """Materializing a graph would exceed the vertex cap."""
+    """A graph over the vertex cap, or a profile search over its work budget."""
 
 
 def max_vertex_cap() -> int:
@@ -310,15 +310,14 @@ def _strides(sizes) -> list[int]:
     return strides
 
 
-def cartesian_product(spec: ProductSpec, *, max_vertices: int | None = None) -> Graph:
+def cartesian_product(spec: ProductSpec) -> Graph:
     """Materialize the product; refuses when the vertex count exceeds the cap."""
     factors = spec.factors
-    cap = max_vertex_cap() if max_vertices is None else max_vertices
     total = spec.vertex_count
-    if total > cap:
+    if total > (cap := max_vertex_cap()):
         raise CapExceededError(
             f"product needs {total} vertices but the cap is {cap}"
-            f" (override with {MAX_VERTICES_ENV} or max_vertices)"
+            f" (override with {MAX_VERTICES_ENV})"
         )
     if len(factors) == 1:
         return factors[0]

@@ -11,8 +11,16 @@ per endpoint, and u has at most min(|adj u & pool|, n - 1) neighbours in T.
 The floor is the sum of the n smallest of these per-vertex bounds, so it never
 exceeds the true change, and at n = 1 it is the exact best last step.  Pruning
 only skips sets that cannot win, so the reported witness is always the
-lexicographically smallest one and repeated runs are identical.  Graphs above
-SEARCH_CAP vertices are refused.
+lexicographically smallest one and repeated runs are identical.
+
+Work is counted in list elements, not nodes: an element costs 0.1-0.35 us
+(one core of a 2-core Xeon, CPython 3.11) across searches whose node counts
+differ a hundredfold.  Each call of the search charges on entry what it
+builds, one entry per remaining vertex plus one floor weight per later vertex
+for each child; the adjacency masks and row tables are charged before they
+are built.  Past SEARCH_BUDGET the search stops with CapExceededError; a
+profile spends one budget over all its sizes.  The count depends only on the
+graph and k, and it also bounds the rows the search keeps.
 
 Two symmetry cuts keep that witness.  On a vertex-transitive graph some
 minimizer holds vertex 0, and sets holding 0 come first, so only the v = 0
@@ -38,7 +46,7 @@ from math import comb, inf, prod
 
 from .graphs import CapExceededError, Graph, VertexSet, family_entry
 
-SEARCH_CAP = 30
+SEARCH_BUDGET = 2 * 10**7  # list elements: about 7 s of search at 0.33 us each
 
 
 @dataclass(frozen=True)
@@ -66,28 +74,31 @@ class IsoProfile:
         return self.entry(k).ratio
 
 
-def _check_cap(m: int, max_vertices: int | None) -> None:
-    cap = SEARCH_CAP if max_vertices is None else max_vertices
-    if m > cap:
-        raise CapExceededError(
-            f"graph has {m} vertices but the search cap is {cap}"
-            f" (pass max_vertices to override)"
-        )
+def _over_budget(spent: int, k: int, m: int) -> CapExceededError:
+    return CapExceededError(
+        f"search for size {k} on {m} vertices charged {spent} units of work,"
+        f" over the budget of {SEARCH_BUDGET}"
+    )
 
 
-def _search(g: Graph, k: int, target: int | None = None) -> tuple[int, int]:
-    """(min boundary, witness mask) over k-subsets, lexicographic DFS with pruning;
-    given the known minimum as target, the first leaf reaching it ends the search."""
+def _search(g: Graph, k: int, target: int | None = None, spent: int = 0) -> tuple[int, int, int]:
+    """(min boundary, witness mask, units spent) over k-subsets, lexicographic
+    DFS with pruning, counting on from `spent` units of work; given the known
+    minimum as target, the first leaf reaching it ends the search."""
     m = g.vertex_count
     deg = g.degrees
     if k == m:
-        return 0, (1 << m) - 1
+        return 0, (1 << m) - 1, spent
     if k == 1:  # no adjacency masks: they cost O(m^2) bits on a large product
-        return min(deg), 1 << deg.index(min(deg))
+        return min(deg), 1 << deg.index(min(deg)), spent
+    root = k - 1 if g.vertex_transitive else k  # need at the root
+    # masks (about m^2 / 2 bits) and row tables, charged before they are built
+    spent += m * (m - 1) // 2 + m * (root - 1)
+    if spent > SEARCH_BUDGET:
+        raise _over_budget(spent, k, m)
     adj = g.adjacency_masks
     best_val = inf if target is None else target + 1
     best_mask = 0
-    root = k - 1 if g.vertex_transitive else k  # need at the root
     # rows[cap][v][u - v - 1] = deg u - 2 [u ~ v] - min(|adj u & {v+1..m-1}|, cap)
     # for u > v: the part of a floor weight that no mask changes, built on first
     # use.  The root alone has its cap and takes each v once, so its rows are not
@@ -112,6 +123,13 @@ def _search(g: Graph, k: int, target: int | None = None) -> tuple[int, int]:
         return best_val == target
 
     def extend(lo: int, mask: int, cross: int, need: int) -> bool:
+        nonlocal spent
+        # units: into's m - lo entries, then m - v - 1 floor weights (or, at need
+        # 1, last-step deltas) for each child v; charged up front, as one sum
+        rest = m - lo
+        spent += 2 * rest if need == 1 else rest + (rest * (rest - 1) - (need - 1) * (need - 2)) // 2
+        if spent > SEARCH_BUDGET:
+            raise _over_budget(spent, k, m)
         into = [2 * (a & mask).bit_count() for a in adj[lo:]]  # 2 |adj u & mask| at u - lo
         if need == 1:
             return last(lo, mask, cross, [d - i for d, i in zip(deg[lo:], into)])
@@ -135,27 +153,26 @@ def _search(g: Graph, k: int, target: int | None = None) -> tuple[int, int]:
     else:
         extend(0, 0, 0, root)
     del extend  # ends the closure's cycle, so the rows go now, not at the next gc pass
-    return int(best_val), best_mask
+    return int(best_val), best_mask, spent
 
 
-def min_boundary(g: Graph, k: int, *, max_vertices: int | None = None) -> tuple[int, VertexSet]:
+def min_boundary(g: Graph, k: int) -> tuple[int, VertexSet]:
     """Exact minimum edge boundary over all k-subsets, with canonical witness."""
     m = g.vertex_count
     if not 1 <= k <= m:
         raise ValueError(f"size {k} outside 1..{m}")
-    _check_cap(m, max_vertices)
-    value, mask = _search(g, k)
+    value, mask, _ = _search(g, k)
     return value, VertexSet(mask, k)
 
 
-def profile_bruteforce(g: Graph, *, max_vertices: int | None = None) -> IsoProfile:
+def profile_bruteforce(g: Graph) -> IsoProfile:
     """Full profile k = 1..m; sizes above m/2 target their complement's boundary."""
     m = g.vertex_count
-    _check_cap(m, max_vertices)
     entries = []
+    spent = 0
     for k in range(1, m + 1):
         target = entries[m - k - 1].min_boundary if m - k < k < m else None
-        value, mask = _search(g, k, target)
+        value, mask, spent = _search(g, k, target, spent)
         entries.append(ProfileEntry(k, value, Fraction(value, k), VertexSet(mask, k)))
     return IsoProfile(m, tuple(entries))
 

@@ -18,6 +18,7 @@ from isobound import (
     cartesian_product,
     generate,
     grid_bound,
+    min_boundary,
     parse_product_spec,
     profile_bruteforce,
     profile_closed_form,
@@ -206,5 +207,6 @@ def test_criterion_10_oversized_products_are_refused(capsys):
         assert spec.vertex_count == 10**20
         with pytest.raises(CapExceededError, match="cap"):
             cartesian_product(spec)
-        with pytest.raises(CapExceededError):
-            profile_bruteforce(generate("path", 31))
+        grid = cartesian_product(parse_product_spec("path:70^2"))
+        with pytest.raises(CapExceededError, match="over the budget"):
+            min_boundary(grid, 3)

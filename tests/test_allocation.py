@@ -9,7 +9,6 @@ from isobound import (
     cartesian_product,
     edge_boundary,
     generate,
-    homogeneous_bound,
     parse_product_spec,
     petersen,
     product_vertex_set,
@@ -78,7 +77,7 @@ class TestTheoremBound:
         assert by_size.bound_per_vertex == 0.0 and by_size.bound_total == 0.0
         assert by_size.allocation == (minorants[0].domain_end,) * n
         assert theorem_bound(minorants, total).bound_per_vertex == 0.0
-        assert homogeneous_bound(minorants[0], n, total) == 0.0
+        assert n * minorants[0].evaluate(minorants[0].domain_end) == 0.0  # even split
 
     def test_size_beyond_product_refused(self):
         minorants = [family_minorant("complete", 2)] * 80
@@ -152,13 +151,20 @@ class TestAgainstOracles:
 
 
 class TestHomogeneousBound:
+    """n identical factors: the optimal allocation is even, so the greedy
+    bound is n * psi(log_size / n)."""
+
     def test_hypercube_value(self):
         psi = family_minorant("complete", 2)
-        assert homogeneous_bound(psi, 10, 4 * math.log(2)) == pytest.approx(6.0, abs=1e-12)
+        x = 4 * math.log(2)
+        assert 10 * psi.evaluate(x / 10) == pytest.approx(6.0, abs=1e-12)
+        assert theorem_bound([psi] * 10, x).bound_per_vertex == pytest.approx(6.0, abs=1e-12)
 
     def test_two_cycles(self):
         psi = family_minorant("cycle", 5)
-        assert homogeneous_bound(psi, 2, math.log(4)) == pytest.approx(2.0, abs=1e-12)
+        x = math.log(4)
+        assert 2 * psi.evaluate(x / 2) == pytest.approx(2.0, abs=1e-12)
+        assert theorem_bound([psi] * 2, x).bound_per_vertex == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_general_solver_on_copies(self):
         rng = random.Random(900)
@@ -168,18 +174,18 @@ class TestHomogeneousBound:
             n = rng.randint(1, 5)
             psi = family_minorant(family, m)
             budget = rng.uniform(0, n * psi.domain_end)
-            even = homogeneous_bound(psi, n, budget)
+            even = n * psi.evaluate(budget / n)
             greedy = theorem_bound([psi] * n, budget).bound_per_vertex
             assert even == pytest.approx(greedy, rel=1e-9, abs=1e-9)
 
     def test_rejects_bad_arguments(self):
         psi = family_minorant("path", 3)
-        with pytest.raises(ValueError, match="n >= 1"):
-            homogeneous_bound(psi, 0, 0.0)
+        with pytest.raises(ValueError, match="at least one factor"):
+            theorem_bound([psi] * 0, 0.0)
         with pytest.raises(ValueError, match="outside"):
-            homogeneous_bound(psi, 2, 3 * math.log(3))
+            theorem_bound([psi] * 2, 3 * math.log(3))
         with pytest.raises(ValueError, match="outside"):
-            homogeneous_bound(psi, 2, math.nan)
+            theorem_bound([psi] * 2, math.nan)
 
 
 class TestSharpness:

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -52,7 +54,7 @@ class TestVerifyTheorem:
     @given(file_factor_specs())
     def test_size_one_is_least_degree_sum(self, spec):
         truth = sum(min(f.degrees) for f in spec.factors)
-        assert min_boundary(cartesian_product(spec), 1, max_vertices=200)[0] == truth
+        assert min_boundary(cartesian_product(spec), 1)[0] == truth
         (entry,) = verify_theorem(spec, [1]).entries
         assert entry.true_min_boundary == truth
 
@@ -150,6 +152,15 @@ class TestNonlinearityWitness:
         assert w.residual < -1e-6
         assert run(["certify-q71", "cycle:5", "--power", "40", "--output", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["sizes"][2] == str(5**40)
+
+    def test_huge_power_refused_unbuilt(self):
+        # 5^(10^7) has about 7 million digits and takes seconds to build; its
+        # logarithm refuses it at once
+        g, prof, psi = self.c5_parts()
+        start = time.monotonic()
+        with pytest.raises(ValueError, match=f"5\\^10000000 has more than {sys.get_int_max_str_digits()}"):
+            q71_witness(g, prof, psi, 10**7)
+        assert time.monotonic() - start < 1.0
 
     def test_path_cube(self):
         prof = profile_closed_form("path", 5)

@@ -250,7 +250,7 @@ class TestVerifyCommand:
         assert [e["k"] for e in doc["entries"]] == [1, 3, 9, 27]
 
     def test_family_factor_above_search_cap(self, capsys):
-        # path:40 has no exhaustive profile; its closed form stands in
+        # path:40 takes its closed form, not a search
         assert run(["verify", "path:40 x path:2", "--sizes", "1", "--output", "csv"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "1,2,2.0,0.0,True"
 

@@ -11,7 +11,6 @@ from isobound import (
     generate,
     grid_bound,
     hamming_bound,
-    homogeneous_bound,
     petersen,
     profile_bruteforce,
     profile_closed_form,
@@ -198,7 +197,9 @@ class TestRegularPower:
         for frac in (0.0, 0.3, 0.7, 1.0):
             x = x_lo + frac * (x_hi - x_lo)
             line = regular_power_bound(summary, 5, n, x)
-            even = homogeneous_bound(psi, n, x)
+            even = n * psi.evaluate(x / n)  # the even split of n identical factors
+            greedy = theorem_bound([psi] * n, x).bound_per_vertex
+            assert even == pytest.approx(greedy, rel=1e-9, abs=1e-12)
             assert line == pytest.approx(even, rel=1e-9, abs=1e-12)
 
     def test_below_homogeneous_everywhere(self):
@@ -211,7 +212,9 @@ class TestRegularPower:
         for _ in range(30):
             x = rng.uniform(0, n * math.log(10))
             line = regular_power_bound(summary, 10, n, x)
-            even = homogeneous_bound(psi, n, x)
+            even = n * psi.evaluate(x / n)  # the even split of n identical factors
+            greedy = theorem_bound([psi] * n, x).bound_per_vertex
+            assert even == pytest.approx(greedy, rel=1e-9, abs=1e-12)
             assert line <= even + 1e-9
 
     def test_degree_line_for_complete(self):

@@ -25,6 +25,7 @@ CASES = [
     ("profile_path4", ["profile", "path:4"], 0),
     ("profile_complete5", ["profile", "complete:5"], 0),
     ("profile_cycle6_exhaustive", ["profile", "cycle:6", "--exhaustive"], 0),
+    ("profile_path31_exhaustive", ["profile", "path:31", "--exhaustive"], 0),
     ("profile_product", ["profile", "path:2 x path:3"], 0),
     ("profile_g13", ["profile", "file:g13.txt"], 0),
     # minorant
@@ -74,6 +75,7 @@ ERRORS = [
     ("err_compare_small", ["compare", "path:2^2"], 2),
     ("err_verify_all_sizes", ["verify", "cycle:21"], 2),
     ("err_search_cap", ["profile", "file:g13.txt^2"], 2),
+    ("err_search_budget", ["verify", "path:70^2", "--sizes", "3"], 2),
     ("err_q71_single_piece", ["certify-q71", "complete:4", "--power", "2"], 2),
     ("err_q71_huge_power", ["certify-q71", "cycle:5", "--power", "7000"], 2),
     ("err_q72_product", ["certify-q72", "path:3 x path:3"], 2),

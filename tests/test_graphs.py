@@ -248,12 +248,6 @@ class TestCartesianProduct:
         with pytest.raises(CapExceededError, match="cap"):
             cartesian_product(spec)
 
-    def test_cap_override_argument(self):
-        spec = parse_product_spec("complete:2^3")
-        with pytest.raises(CapExceededError):
-            cartesian_product(spec, max_vertices=7)
-        assert cartesian_product(spec, max_vertices=8).vertex_count == 8
-
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv(MAX_VERTICES_ENV, "8")
         spec = parse_product_spec("cycle:3^2")

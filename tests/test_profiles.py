@@ -20,6 +20,7 @@ from isobound import (
     profile_bruteforce,
     profile_closed_form,
 )
+from isobound import profiles
 from isobound.cli import run
 from isobound.profiles import nested_boundary, resolve_profiles
 
@@ -121,11 +122,11 @@ class TestResolveProfiles:
         assert out[1] is out[3]
         assert len({id(p) for p in out}) == 3
 
-    def test_family_takes_closed_form_beyond_search_cap(self):
+    def test_family_closed_form_equals_exhaustive_search(self):
         (prof,) = resolve_profiles([generate("path", 40)])
         assert prof == profile_closed_form("path", 40)
-        with pytest.raises(CapExceededError):
-            resolve_profiles([generate("path", 40)], exhaustive=True)
+        (searched,) = resolve_profiles([generate("path", 40)], exhaustive=True)
+        assert searched == prof
 
 
 class TestMinBoundary:
@@ -200,7 +201,7 @@ class TestPruning:
 
     def test_pruned_path_beyond_exhaustive_cap(self):
         m = 24
-        prof = profile_bruteforce(generate("path", m))  # 24 vertices: within the search cap of 30
+        prof = profile_bruteforce(generate("path", m))
         closed = profile_closed_form("path", m)
         assert prof == closed
 
@@ -244,13 +245,37 @@ class TestSymmetryCuts:
 
 
 class TestCaps:
-    def test_pruned_cap(self):
-        with pytest.raises(CapExceededError, match="cap is 30"):
-            min_boundary(generate("path", 31), 2)
+    """The search budget counts work, not vertices."""
 
-    def test_override(self):
-        value, _ = min_boundary(generate("path", 31), 2, max_vertices=40)
+    def test_pruned_cap(self):
+        # the masks and the root's call charge about 12 million units each:
+        # refused before the root does any work
+        g = cartesian_product(parse_product_spec("path:70^2"))
+        with pytest.raises(CapExceededError, match="size 3 on 4900 vertices"):
+            min_boundary(g, 3)
+
+    @pytest.mark.parametrize("family", ["path", "cycle"])
+    def test_large_graph_builds_no_masks(self, family, capsys):
+        # the masks alone would charge 5 * 10^7 units, so they are never built
+        g = generate(family, 10000)
+        with pytest.raises(CapExceededError, match="size 2 on 10000 vertices"):
+            profile_bruteforce(g)
+        assert "adjacency_masks" not in g.__dict__
+        assert run(["profile", f"{family}:10000", "--exhaustive"]) == 2
+        assert "over the budget" in capsys.readouterr().err
+
+    def test_path31_answers(self):
+        value, _ = min_boundary(generate("path", 31), 2)
         assert value == 1
+
+    def test_budget_shared_across_sizes(self, monkeypatch):
+        # each size alone fits in 400 units; the profile spends 913 over all nine
+        g = cartesian_product(parse_product_spec("cycle:3^2"))
+        monkeypatch.setattr(profiles, "SEARCH_BUDGET", 400)
+        for k in range(1, 10):
+            min_boundary(g, k)
+        with pytest.raises(CapExceededError, match="size 5 on 9 vertices charged 409"):
+            profile_bruteforce(g)
 
 
 class TestProfileContainer:
