@@ -116,11 +116,11 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     product = cartesian_product(spec) if None in truths else None
     minorants = build_minorants(resolve_profiles(spec.factors))
     if product is not None:
-        if every_size:  # one profile search, so sizes above m/2 get complement targets
+        if every_size:  # one profile search: one row table, one budget
             truths = [e.min_boundary for e in profile_bruteforce(product).entries]
         else:
-            truths = [
-                min_boundary(product, k)[0] if truth is None else truth
+            truths = [  # b(k) = b(m - k), so search the smaller size
+                min_boundary(product, min(k, m - k))[0] if truth is None else truth
                 for k, truth in zip(ks, truths)
             ]
     entries = []

@@ -13,21 +13,34 @@ exceeds the true change, and at n = 1 it is the exact best last step.  Pruning
 only skips sets that cannot win, so the reported witness is always the
 lexicographically smallest one and repeated runs are identical.
 
-Work is counted in list elements, not nodes: an element costs 0.1-0.35 us
+A child v's per-vertex bounds are a row that depends only on v and n, less
+the parent set's terms 2 |adj u & S|.  Rows are built on first use, and a
+profile keeps one table of them for all its sizes.  Each row is stored with
+the sum of its n smallest entries; as the parent's terms are never negative,
+that sum less the parent's terms summed over the whole pool is a lower bound
+on the floor.  This O(1) pre-check skips most children before their floor is
+built, and since it never exceeds the floor, the search tree is unchanged.
+
+Work is counted in list elements, not nodes: an element costs 0.03-0.25 us
 (one core of a 2-core Xeon, CPython 3.11) across searches whose node counts
-differ a hundredfold.  Each call of the search charges on entry what it
-builds, one entry per remaining vertex plus one floor weight per later vertex
-for each child; the adjacency masks and row tables are charged before they
-are built.  Past SEARCH_BUDGET the search stops with CapExceededError; a
-profile spends one budget over all its sizes.  The count depends only on the
-graph and k, and it also bounds the rows the search keeps.
+differ a hundredfold.  Each call of the search charges on entry, in closed
+form, one entry per remaining vertex plus one floor weight per later vertex
+for each child, an upper bound on what it builds; the adjacency masks and row
+tables are charged before they are built.  Past SEARCH_BUDGET the search stops
+with CapExceededError; a profile spends one budget over all its sizes.  The
+count depends only on the graph and k, and it also bounds the rows kept.
 
 Two symmetry cuts keep that witness.  On a vertex-transitive graph some
 minimizer holds vertex 0, and sets holding 0 come first, so only the v = 0
-top-level branch is searched.  As boundary(k) = boundary(m - k), each size
-above m/2 in profile_bruteforce gets its complement's value as a target: only
-subtrees whose floor exceeds it are pruned, and the search stops at the first
-leaf reaching it, which is the canonical witness.
+top-level branch is searched.  Sizes above m/2 are found by complement:
+boundary(k) = boundary(m - k), and for two sets of equal size A precedes B
+exactly when B^c precedes A^c, since the least element of their symmetric
+difference lies in the smaller set.  So the canonical witness at a size
+k > m/2 is the complement of the lexicographically last minimizer of size
+m - k.  profile_bruteforce finds it by a search at
+size m - k that takes children in descending order, stops at the first leaf
+reaching the boundary it already has for m - k, and on a vertex-transitive
+graph leaves vertex 0 out, as the canonical k-witness holds it.
 
 nested_boundary needs no search: on a product of cliques an initial segment
 of lexicographic order is optimal at every size, so its value comes from the
@@ -42,11 +55,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, inf, prod
 
 from .graphs import CapExceededError, Graph, VertexSet, family_entry
 
-SEARCH_BUDGET = 2 * 10**7  # list elements: about 7 s of search at 0.33 us each
+SEARCH_BUDGET = 2 * 10**7  # list elements: about 5 s of search at 0.25 us each
 
 
 @dataclass(frozen=True)
@@ -81,17 +95,29 @@ def _over_budget(spent: int, k: int, m: int) -> CapExceededError:
     )
 
 
-def _search(g: Graph, k: int, target: int | None = None, spent: int = 0) -> tuple[int, int, int]:
-    """(min boundary, witness mask, units spent) over k-subsets, lexicographic
-    DFS with pruning, counting on from `spent` units of work; given the known
-    minimum as target, the first leaf reaching it ends the search."""
+def _search(g: Graph, k: int, target: int | None = None, spent: int = 0,
+            rows: list | None = None) -> tuple[int, int, int]:
+    """(min boundary, witness mask, units spent) over k-subsets, counting on
+    from `spent` units of work.  Given the boundary at size m - k as target
+    (m/2 < k < m), the witness is the complement of the first (m - k)-set of a
+    descending search to reach it (module docstring).  rows is a profile's
+    row table, shared by its sizes."""
     m = g.vertex_count
     deg = g.degrees
+    full = (1 << m) - 1
     if k == m:
-        return 0, (1 << m) - 1, spent
-    if k == 1:  # no adjacency masks: they cost O(m^2) bits on a large product
-        return min(deg), 1 << deg.index(min(deg)), spent
-    root = k - 1 if g.vertex_transitive else k  # need at the root
+        return 0, full, spent
+    flip = target is not None
+    size = m - k if flip else k  # the size searched
+    if size == 1:  # no adjacency masks: they cost O(m^2) bits on a large product
+        best = min(deg)
+        v = m - 1 - deg[::-1].index(best) if flip else deg.index(best)
+        return best, full ^ 1 << v if flip else 1 << v, spent
+    # on a vertex-transitive graph the canonical witness holds vertex 0: a
+    # forward search starts with it, a complement search leaves it out
+    lo = 1 if g.vertex_transitive else 0
+    held = 1 if lo and not flip else 0
+    root = size - held  # need at the root
     # masks (about m^2 / 2 bits) and row tables, charged before they are built
     spent += m * (m - 1) // 2 + m * (root - 1)
     if spent > SEARCH_BUDGET:
@@ -99,27 +125,41 @@ def _search(g: Graph, k: int, target: int | None = None, spent: int = 0) -> tupl
     adj = g.adjacency_masks
     best_val = inf if target is None else target + 1
     best_mask = 0
-    # rows[cap][v][u - v - 1] = deg u - 2 [u ~ v] - min(|adj u & {v+1..m-1}|, cap)
-    # for u > v: the part of a floor weight that no mask changes, built on first
-    # use.  The root alone has its cap and takes each v once, so its rows are not
-    # kept: a k = 2 search of a large product then holds O(m) of them, not O(m^2).
-    rows: list = [[None] * m for _ in range(root - 1)]
+    # rows[cap][v] = (r, sum of the cap + 1 smallest of r), r[u - v - 1] =
+    # deg u - 2 [u ~ v] - min(|adj u & {v+1..m-1}|, cap) for u > v: the part of
+    # a floor weight that no mask changes, built on first use.  The root takes
+    # each v once, so rows at its cap are kept only in a profile's table, where
+    # later sizes reuse them, and not at cap 0, where they are cheap to build:
+    # a k = 2 search of a large graph then holds O(m) rows, not O(m^2).
+    keep = inf if rows is not None and root > 2 else root - 2
+    if rows is None:
+        rows = []
+    rows.extend([None] * m for _ in range(len(rows), root - 1))
 
-    def row(v: int, cap: int) -> list[int]:
-        a = adj[v]
-        r = [deg[u] - 2 * (a >> u & 1) - (p if (p := (adj[u] >> v + 1).bit_count()) < cap else cap)
-             for u in range(v + 1, m)]
-        if cap < root - 2:
-            rows[cap][v] = r
-        return r
+    def row(v: int, cap: int) -> tuple[list[int], int]:
+        if cap:
+            a = adj[v]
+            r = [deg[u] - 2 * (a >> u & 1) - (p if (p := (adj[u] >> v + 1).bit_count()) < cap else cap)
+                 for u in range(v + 1, m)]
+        else:  # no pool count: deg u, less 2 at the later neighbours of v
+            r = list(deg[v + 1:])
+            for u in g.adjacency[v]:
+                if u > v:
+                    r[u - v - 1] -= 2
+        entry = r, sum(sorted(r)[:cap + 1]) if cap else 0  # need 2 makes no pre-check
+        if cap < keep:
+            rows[cap][v] = entry
+        return entry
 
     def last(lo: int, mask: int, cross: int, deltas: list[int]) -> bool:
-        # the first vertex of least delta from lo on makes the best leaf here
+        # the first (a complement search: the last) vertex of least delta from
+        # lo on makes the best leaf here
         nonlocal best_val, best_mask
         best = min(deltas)
         if cross + best < best_val:
             best_val = cross + best
-            best_mask = mask | 1 << lo + deltas.index(best)
+            i = len(deltas) - 1 - deltas[::-1].index(best) if flip else deltas.index(best)
+            best_mask = mask | 1 << lo + i
         return best_val == target
 
     def extend(lo: int, mask: int, cross: int, need: int) -> bool:
@@ -137,23 +177,26 @@ def _search(g: Graph, k: int, target: int | None = None, spent: int = 0) -> tupl
         # from the pool v+1..m-1, each with at most need - 2 neighbours inside it
         cap = need - 2
         table = rows[cap]
-        for v in range(lo, m - need + 1):
+        if need > 2:  # into_head[i] - into_all = -(into summed over u > lo + i)
+            into_head = list(accumulate(into))
+            into_all = into_head[-1]
+        children = range(lo, m - need + 1)
+        for v in reversed(children) if flip else children:
             new_cross = cross + deg[v] - into[v - lo]
-            w = [x - i for x, i in zip(table[v] or row(v, cap), into[v + 1 - lo:])]
-            if need == 2:  # the floor is exact: w holds the last step's deltas
-                if last(v + 1, mask | 1 << v, new_cross, w):
+            r, least = table[v] or row(v, cap)
+            if need == 2:  # the floor is exact: these are the last step's deltas
+                if last(v + 1, mask | 1 << v, new_cross, [x - i for x, i in zip(r, into[v + 1 - lo:])]):
                     return True
-            elif new_cross + sum(sorted(w)[:need - 1]) < best_val:
-                if extend(v + 1, mask | 1 << v, new_cross, need - 1):
-                    return True
+            elif new_cross + least + into_head[v - lo] - into_all < best_val:  # the pre-check
+                w = [x - i for x, i in zip(r, into[v + 1 - lo:])]
+                if new_cross + sum(sorted(w)[:need - 1]) < best_val:
+                    if extend(v + 1, mask | 1 << v, new_cross, need - 1):
+                        return True
         return False
 
-    if g.vertex_transitive:  # the v = 0 branch holds the canonical witness
-        extend(1, 1, deg[0], root)
-    else:
-        extend(0, 0, 0, root)
+    extend(lo, held, deg[0] if held else 0, root)
     del extend  # ends the closure's cycle, so the rows go now, not at the next gc pass
-    return int(best_val), best_mask, spent
+    return int(best_val), full ^ best_mask if flip else best_mask, spent
 
 
 def min_boundary(g: Graph, k: int) -> tuple[int, VertexSet]:
@@ -166,13 +209,15 @@ def min_boundary(g: Graph, k: int) -> tuple[int, VertexSet]:
 
 
 def profile_bruteforce(g: Graph) -> IsoProfile:
-    """Full profile k = 1..m; sizes above m/2 target their complement's boundary."""
+    """Full profile k = 1..m over one row table; each size above m/2 is found
+    by complement search, with its complement's boundary as target."""
     m = g.vertex_count
     entries = []
     spent = 0
+    rows: list = []
     for k in range(1, m + 1):
         target = entries[m - k - 1].min_boundary if m - k < k < m else None
-        value, mask, spent = _search(g, k, target, spent)
+        value, mask, spent = _search(g, k, target, spent, rows)
         entries.append(ProfileEntry(k, value, Fraction(value, k), VertexSet(mask, k)))
     return IsoProfile(m, tuple(entries))
 

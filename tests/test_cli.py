@@ -249,6 +249,21 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert [e["k"] for e in doc["entries"]] == [1, 3, 9, 27]
 
+    def test_size_above_half_searches_its_complement(self, monkeypatch, capsys):
+        # b(15) = b(5) on the 20-vertex grid, so the search runs at size 5
+        searched = []
+        original = certify.min_boundary
+
+        def recording(g, k):
+            searched.append(k)
+            return original(g, k)
+
+        monkeypatch.setattr(certify, "min_boundary", recording)
+        assert run(["verify", "path:4 x path:5", "--sizes", "15", "--output", "json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["entries"]
+        assert searched == [5]
+        assert (entry["k"], entry["true_min_boundary"]) == (15, 5)
+
     def test_family_factor_above_search_cap(self, capsys):
         # path:40 takes its closed form, not a search
         assert run(["verify", "path:40 x path:2", "--sizes", "1", "--output", "csv"]) == 0

@@ -215,7 +215,7 @@ class TestPruning:
 
 
 class TestSymmetryCuts:
-    """The vertex-transitive stop and the complement targets keep the values
+    """The vertex-transitive stop and the complement searches keep the values
     and the canonical witnesses of the independent enumeration."""
 
     @pytest.mark.parametrize("spec", [
@@ -231,12 +231,34 @@ class TestSymmetryCuts:
 
     def test_petersen_prism(self):
         # the oracle takes seconds at the middle sizes of 20 vertices, so check
-        # the outer ones: k <= 5 and their complement-target sizes k >= 15
+        # the outer ones: k <= 5 and the complement-searched sizes k >= 15
         g = cartesian_product(ProductSpec((petersen(), generate("complete", 2))))
         assert g.vertex_transitive
         ks = [*range(1, 6), *range(15, 21)]
         profile = searched(g)
         assert [profile[k - 1] for k in ks] == [min_boundary_by_enumeration(g, k) for k in ks]
+
+    @pytest.mark.parametrize("name", [
+        *(f"random:{m}:{d}" for m in (15, 16, 17, 18) for d in (0.25, 0.6)),
+        "path:4 x path:5", "cycle:5^2", "petersen-prism-file", "petersen-prism",
+    ])
+    def test_profile_matches_single_sizes(self, name):
+        # beyond the enumeration oracle: the profile's shared rows and its
+        # complement searches above m/2 against one forward search per size
+        prism = cartesian_product(ProductSpec((petersen(), generate("complete", 2))))
+        if name.startswith("random"):
+            _, m, density = name.split(":")
+            rng = random.Random(name)
+            pairs = itertools.combinations(range(int(m)), 2)
+            g = Graph.from_edges(int(m), [p for p in pairs if rng.random() < float(density)])
+        elif name == "petersen-prism":
+            g = prism
+        elif name == "petersen-prism-file":  # the same graph, not known to be transitive
+            g = Graph.from_edges(20, [(u, v) for u in range(20) for v in prism.adjacency[u] if u < v])
+        else:
+            g = cartesian_product(parse_product_spec(name))
+        singles = [min_boundary(g, k) for k in range(1, g.vertex_count + 1)]
+        assert searched(g) == [(value, w.members()) for value, w in singles]
 
     def test_singleton_builds_no_masks(self):
         g = cartesian_product(parse_product_spec("path:3 x cycle:4"))
@@ -269,13 +291,16 @@ class TestCaps:
         assert value == 1
 
     def test_budget_shared_across_sizes(self, monkeypatch):
-        # each size alone fits in 400 units; the profile spends 913 over all nine
+        # each size alone fits in 400 units; the profile spends 542 over all
+        # nine and runs out in size 6, whose search runs at size 3: the message
+        # names the size asked for
         g = cartesian_product(parse_product_spec("cycle:3^2"))
         monkeypatch.setattr(profiles, "SEARCH_BUDGET", 400)
         for k in range(1, 10):
             min_boundary(g, k)
-        with pytest.raises(CapExceededError, match="size 5 on 9 vertices charged 409"):
+        with pytest.raises(CapExceededError, match="size 6 on 9 vertices charged 423") as refusal:
             profile_bruteforce(g)
+        assert "size 3" not in str(refusal.value)
 
 
 class TestProfileContainer:
