@@ -37,10 +37,10 @@ boundary(k) = boundary(m - k), and for two sets of equal size A precedes B
 exactly when B^c precedes A^c, since the least element of their symmetric
 difference lies in the smaller set.  So the canonical witness at a size
 k > m/2 is the complement of the lexicographically last minimizer of size
-m - k.  profile_bruteforce finds it by a search at
-size m - k that takes children in descending order, stops at the first leaf
-reaching the boundary it already has for m - k, and on a vertex-transitive
-graph leaves vertex 0 out, as the canonical k-witness holds it.
+m - k.  profile_bruteforce finds it by a search at size m - k that takes
+children in descending order, stops at the first leaf reaching the boundary
+it already has for m - k, and on a vertex-transitive graph leaves vertex 0
+out, as the canonical k-witness holds it.
 
 nested_boundary needs no search: on a product of cliques an initial segment
 of lexicographic order is optimal at every size, so its value comes from the
