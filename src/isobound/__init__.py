@@ -35,12 +35,10 @@ from .graphs import (
     ProductSpec,
     VertexSet,
     cartesian_product,
-    edge_boundary,
     generate,
     parse_graph,
     parse_product_spec,
     petersen,
-    product_vertex_set,
 )
 from .minorants import (
     Breakpoint,
@@ -83,7 +81,6 @@ __all__ = [
     "build_minorant",
     "cartesian_product",
     "connected_regular_bound",
-    "edge_boundary",
     "generate",
     "grid_bound",
     "hamming_bound",
@@ -91,7 +88,6 @@ __all__ = [
     "parse_graph",
     "parse_product_spec",
     "petersen",
-    "product_vertex_set",
     "profile_bruteforce",
     "profile_closed_form",
     "q71_witness",

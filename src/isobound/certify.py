@@ -1,12 +1,14 @@
 """End-to-end verification of the product bound, plus two certificates.
 
 verify_theorem compares the allocation bound against the true minimum boundary
-at each size; the bound must never exceed the truth.  A truth is read from the
-factors where it is known exactly: 0 on the whole product, the sum of the
-factors' least degrees at size 1, and on a clique product (every factor
+at each size; the bound must never exceed the truth.  A set and its complement
+have the same boundary, so size k is read at j = min(k, m - k).  A truth is
+read from the factors where it is known exactly: 0 at j = 0, the sum of the
+factors' least degrees at j = 1, and on a clique product (every factor
 complete, so Hamming graphs and hypercubes) the nested lexicographic order's
 value at every size.  Only the other sizes materialize the product and search
-it, so a clique product of any size is verified without building it.
+it, so a clique product of any size, and any product at sizes 1, m - 1 and m,
+is verified without building it.
 
 q71_witness certifies that size -> minimum boundary is not linear in log size
 on a power G^n whenever psi_G has at least two linear pieces: three sizes of
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from .allocation import theorem_bound
 from .graphs import Graph, ProductSpec, cartesian_product
 from .minorants import ConvexMinorant, RegularSummary, build_minorants
-from .profiles import IsoProfile, min_boundary, nested_boundary, profile_bruteforce, resolve_profiles
+from .profiles import IsoProfile, min_boundary, nested_boundary, resolve_profiles
 
 TIGHT_REL_TOL = 1e-9
 ALL_K_CAP = 20
@@ -72,16 +74,17 @@ class VerificationReport:
         return tuple(e.k for e in self.entries if e.tight)
 
 
-def _exact_truth(spec: ProductSpec, k: int) -> int | None:
-    """The minimum boundary at size k from the factors alone, or None when it
-    takes a search.  A product vertex's degree is the sum of its coordinates'
-    degrees, so size 1 gives the sum of the factors' least degrees."""
-    if k == spec.vertex_count:
+def _exact_truth(spec: ProductSpec, j: int) -> int | None:
+    """The minimum boundary at sizes j and m - j (j <= m/2) from the factors
+    alone, or None when it takes a search.  A product vertex's degree is the
+    sum of its coordinates' degrees, so j = 1 gives the sum of the factors'
+    least degrees."""
+    if j == 0:
         return 0
-    if k == 1:
+    if j == 1:
         return sum(min(f.degrees) for f in spec.factors)
     if all(f.family == ("complete", f.vertex_count) for f in spec.factors):
-        return nested_boundary([f.vertex_count for f in spec.factors], k)
+        return nested_boundary([f.vertex_count for f in spec.factors], j)
     return None
 
 
@@ -89,19 +92,16 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     """Exact truth vs allocation bound at each size of a product.
 
     With ks=None every size is checked, which requires at most ALL_K_CAP
-    vertices.  Truths come from _exact_truth where the factors determine them.
-    Only when some size is left is the product materialized, once and before
-    any search (one search budget for all sizes, or one per listed size), so a
-    product over the materialization cap is refused up front.  Factor profiles
-    come from resolve_profiles, so family factors of any size use their closed form.
+    vertices.  Size k is read through j = min(k, m - k), as b(k) = b(m - k).
+    Truths come from _exact_truth where the factors determine them.  Only when
+    some size is left is the product materialized, once and before any search
+    (cartesian_product refuses it up front when too large to search), and
+    each distinct j left is searched once, in the order listed, with a budget
+    of its own.  Factor profiles come from resolve_profiles, so family factors
+    of any size use their closed form.
     """
-    if ks is not None:
-        ks = tuple(ks)
-        if not ks:
-            raise ValueError("no sizes to verify")
     m = spec.vertex_count
-    every_size = ks is None
-    if every_size:
+    if ks is None:
         if m > ALL_K_CAP:
             raise ValueError(
                 f"all-size verification needs at most {ALL_K_CAP} vertices, got {m};"
@@ -109,22 +109,22 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
             )
         ks = range(1, m + 1)
     else:
+        ks = tuple(ks)
+        if not ks:
+            raise ValueError("no sizes to verify")
         for k in ks:
             if not 1 <= k <= m:
                 raise ValueError(f"size {k} outside 1..{m}")
-    truths = [_exact_truth(spec, k) for k in ks]
-    product = cartesian_product(spec) if None in truths else None
+    js = [min(k, m - k) for k in ks]
+    truths = {j: _exact_truth(spec, j) for j in js}  # distinct j, in the order listed
+    searched = [j for j, truth in truths.items() if truth is None]
+    product = cartesian_product(spec) if searched else None
     minorants = build_minorants(resolve_profiles(spec.factors))
-    if product is not None:
-        if every_size:  # one profile search: one row table, one budget
-            truths = [e.min_boundary for e in profile_bruteforce(product).entries]
-        else:
-            truths = [  # b(k) = b(m - k), so search the smaller size
-                min_boundary(product, min(k, m - k))[0] if truth is None else truth
-                for k, truth in zip(ks, truths)
-            ]
+    for j in searched:
+        truths[j] = min_boundary(product, j)[0]
     entries = []
-    for k, truth in zip(ks, truths):
+    for k, j in zip(ks, js):
+        truth = truths[j]
         bound = theorem_bound(minorants, size=k).bound_total
         gap = truth - bound
         tight = abs(gap) <= TIGHT_REL_TOL * max(truth, 1.0)

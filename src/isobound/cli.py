@@ -115,8 +115,9 @@ def _pairs(doc: dict) -> list[dict]:
 
 
 def _target_graph_and_profile(args, exhaustive: bool = False) -> tuple[Graph, IsoProfile]:
-    """The requested graph and its profile; a single factor is used as is (no
-    vertex cap), so family atoms of any size take their closed form."""
+    """The requested graph and its profile; a single factor is used as is,
+    never refused as a product, so family atoms of any size take their closed
+    form."""
     spec = parse_product_spec(args.spec)
     g = spec.factors[0] if len(spec.factors) == 1 else cartesian_product(spec)
     (prof,) = resolve_profiles([g], exhaustive)

@@ -9,19 +9,21 @@ everything else (products, files, petersen).  It is the only way the rest of
 the package recognizes a named family: labels are for display.  FAMILIES is
 the one table of named families, their minimum sizes, edges, known minimum
 edge boundaries and vertex-transitivity (set at construction, never detected).
+
+SEARCH_BUDGET, counted in the list elements a profile search builds, is the
+one size limit: a product is refused here, unbuilt, when a search of it could
+not even pay for its adjacency masks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-DEFAULT_MAX_VERTICES = 1 << 20
-MAX_VERTICES_ENV = "ISOBOUND_MAX_VERTICES"
+SEARCH_BUDGET = 2 * 10**7  # list elements: about 5 s of search at 0.25 us each
 
 
 class ParseError(ValueError):
@@ -29,21 +31,7 @@ class ParseError(ValueError):
 
 
 class CapExceededError(ValueError):
-    """A graph over the vertex cap, or a profile search over its work budget."""
-
-
-def max_vertex_cap() -> int:
-    """Materialization cap: DEFAULT_MAX_VERTICES unless the env var overrides."""
-    raw = os.environ.get(MAX_VERTICES_ENV)
-    if raw is None:
-        return DEFAULT_MAX_VERTICES
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_VERTICES_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{MAX_VERTICES_ENV} must be positive, got {cap}")
-    return cap
+    """A product or a profile search over the search budget."""
 
 
 @dataclass(frozen=True)
@@ -114,15 +102,6 @@ class VertexSet:
 
     mask: int
     size: int
-
-    @classmethod
-    def from_members(cls, members) -> "VertexSet":
-        mask = 0
-        for v in members:
-            if v < 0:
-                raise ValueError(f"negative vertex {v}")
-            mask |= 1 << v
-        return cls(mask, mask.bit_count())
 
     @classmethod
     def from_hex(cls, text: str) -> "VertexSet":
@@ -301,28 +280,22 @@ def parse_product_spec(text: str) -> ProductSpec:
     return ProductSpec(tuple(factors))
 
 
-def _strides(sizes) -> list[int]:
-    """Mixed-radix place values of product coordinates, last factor fastest:
-    vertex (c_1, ..., c_n) has index sum_i c_i * strides[i]."""
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    return strides
-
-
 def cartesian_product(spec: ProductSpec) -> Graph:
-    """Materialize the product; refuses when the vertex count exceeds the cap."""
+    """Materialize the product, which is built only to be searched at a size
+    of at least 2.  Such a search first charges m(m - 1)/2 units for its
+    adjacency masks, so a product whose masks alone exceed SEARCH_BUDGET is
+    refused before anything is allocated."""
     factors = spec.factors
     total = spec.vertex_count
-    if total > (cap := max_vertex_cap()):
+    if (units := total * (total - 1) // 2) > SEARCH_BUDGET:
         raise CapExceededError(
-            f"product needs {total} vertices but the cap is {cap}"
-            f" (override with {MAX_VERTICES_ENV})"
+            f"product of {total} vertices charges {units} units of work for its"
+            f" adjacency masks alone, over the budget of {SEARCH_BUDGET}"
         )
     if len(factors) == 1:
         return factors[0]
     sizes = [f.vertex_count for f in factors]
-    strides = _strides(sizes)
+    strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]  # index = sum c_i * strides[i]
     adjacency = []
     for idx, coords in enumerate(itertools.product(*(range(m) for m in sizes))):
         ns = []
@@ -333,35 +306,3 @@ def cartesian_product(spec: ProductSpec) -> Graph:
         adjacency.append(tuple(sorted(ns)))
     transitive = all(f.vertex_transitive for f in factors)  # Aut(G) x Aut(H) acts transitively
     return Graph(total, tuple(adjacency), label=spec.label(), vertex_transitive=transitive)
-
-
-def product_vertex_set(spec: ProductSpec, factor_sets) -> VertexSet:
-    """A_1 x ... x A_n as a vertex set of the materialized product."""
-    factor_sets = tuple(factor_sets)
-    if len(factor_sets) != len(spec.factors):
-        raise ValueError("one vertex set per factor required")
-    strides = _strides([f.vertex_count for f in spec.factors])
-    mask = 0
-    count = 0
-    for coords in itertools.product(*(s.members() for s in factor_sets)):
-        idx = sum(c * stride for c, stride in zip(coords, strides))
-        mask |= 1 << idx
-        count += 1
-    return VertexSet(mask, count)
-
-
-def edge_boundary(g: Graph, vset: VertexSet) -> int:
-    """Number of edges with exactly one endpoint in the set."""
-    mask = vset.mask
-    if mask >> g.vertex_count:
-        raise ValueError("vertex set exceeds the graph's vertex range")
-    count = 0
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        v = low.bit_length() - 1
-        remaining ^= low
-        for u in g.adjacency[v]:
-            if not (mask >> u) & 1:
-                count += 1
-    return count

@@ -27,8 +27,9 @@ differ a hundredfold.  Each call of the search charges on entry, in closed
 form, one entry per remaining vertex plus one floor weight per later vertex
 for each child, an upper bound on what it builds; the adjacency masks and row
 tables are charged before they are built.  Past SEARCH_BUDGET the search stops
-with CapExceededError; a profile spends one budget over all its sizes.  The
-count depends only on the graph and k, and it also bounds the rows kept.
+with CapExceededError; a profile spends one budget over all its sizes, and
+min_boundary one over its value and complement searches.  The count depends
+only on the graph and k, and it also bounds the rows kept.
 
 Two symmetry cuts keep that witness.  On a vertex-transitive graph some
 minimizer holds vertex 0, and sets holding 0 come first, so only the v = 0
@@ -37,10 +38,10 @@ boundary(k) = boundary(m - k), and for two sets of equal size A precedes B
 exactly when B^c precedes A^c, since the least element of their symmetric
 difference lies in the smaller set.  So the canonical witness at a size
 k > m/2 is the complement of the lexicographically last minimizer of size
-m - k.  profile_bruteforce finds it by a search at size m - k that takes
-children in descending order, stops at the first leaf reaching the boundary
-it already has for m - k, and on a vertex-transitive graph leaves vertex 0
-out, as the canonical k-witness holds it.
+m - k.  profile_bruteforce and min_boundary find it by a search at size
+m - k that takes children in descending order, stops at the first leaf
+reaching the boundary already found for m - k, and on a vertex-transitive
+graph leaves vertex 0 out, as the canonical k-witness holds it.
 
 nested_boundary needs no search: on a product of cliques an initial segment
 of lexicographic order is optimal at every size, so its value comes from the
@@ -58,9 +59,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import comb, inf, prod
 
-from .graphs import CapExceededError, Graph, VertexSet, family_entry
-
-SEARCH_BUDGET = 2 * 10**7  # list elements: about 5 s of search at 0.25 us each
+from .graphs import SEARCH_BUDGET, CapExceededError, Graph, VertexSet, family_entry
 
 
 @dataclass(frozen=True)
@@ -200,11 +199,17 @@ def _search(g: Graph, k: int, target: int | None = None, spent: int = 0,
 
 
 def min_boundary(g: Graph, k: int) -> tuple[int, VertexSet]:
-    """Exact minimum edge boundary over all k-subsets, with canonical witness."""
+    """Exact minimum edge boundary over all k-subsets, with canonical witness.
+    A size above m/2 is found as in a profile: a value search at m - k, then
+    the complement search, on one row table and one budget."""
     m = g.vertex_count
     if not 1 <= k <= m:
         raise ValueError(f"size {k} outside 1..{m}")
-    value, mask, _ = _search(g, k)
+    target, spent, rows = None, 0, None
+    if m - k < k < m:
+        rows = []
+        target, _, spent = _search(g, m - k, None, 0, rows)
+    value, mask, _ = _search(g, k, target, spent, rows)
     return value, VertexSet(mask, k)
 
 

@@ -2,7 +2,8 @@
 
 Nothing here shares logic with the library's algorithms: the allocation
 oracles are exhaustive searches (a uniform grid sweep and a knot sweep), the
-boundary oracle recounts edges from adjacency lists and a plain set, and the
+boundary oracle recounts edges from adjacency lists and a plain set, the
+vertex-set builders place members and product coordinates bit by bit, the
 minimum-boundary oracle walks every k-subset with itertools.combinations,
 the Dirichlet-pair oracle scans t = 1, 2, ... one by one, and the derivative
 oracle scans the knots of a minorant in order.
@@ -15,12 +16,41 @@ import math
 
 import numpy as np
 
+from isobound import VertexSet
+
 GRID_STEP = 1e-4
 
 
 def boundary_by_recount(g, members) -> int:
     inside = set(members)
+    if max(inside, default=0) >= g.vertex_count:
+        raise ValueError("vertex set exceeds the graph's vertex range")
     return sum(1 for v in inside for u in g.adjacency[v] if u not in inside)
+
+
+def vertex_set(members) -> VertexSet:
+    """The VertexSet holding exactly these vertices."""
+    mask = 0
+    for v in members:
+        if v < 0:
+            raise ValueError(f"negative vertex {v}")
+        mask |= 1 << v
+    return VertexSet(mask, mask.bit_count())
+
+
+def product_vertex_set(spec, factor_sets) -> VertexSet:
+    """A_1 x ... x A_n as a vertex set of the materialized product, whose
+    first factor is the most significant digit."""
+    factor_sets = tuple(factor_sets)
+    if len(factor_sets) != len(spec.factors):
+        raise ValueError("one vertex set per factor required")
+    members = []
+    for coords in itertools.product(*(s.members() for s in factor_sets)):
+        index = 0
+        for f, c in zip(spec.factors, coords):
+            index = index * f.vertex_count + c
+        members.append(index)
+    return vertex_set(members)
 
 
 def min_boundary_by_enumeration(g, k: int) -> tuple[int, tuple[int, ...]]:

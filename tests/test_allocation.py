@@ -7,18 +7,23 @@ import pytest
 from isobound import (
     build_minorant,
     cartesian_product,
-    edge_boundary,
     generate,
     parse_product_spec,
     petersen,
-    product_vertex_set,
     profile_bruteforce,
     profile_closed_form,
     sharpness_certificate,
     theorem_bound,
 )
 
-from oracles import GRID_STEP, allocation_grid_min, allocation_knot_min, grid_reach
+from oracles import (
+    GRID_STEP,
+    allocation_grid_min,
+    allocation_knot_min,
+    boundary_by_recount,
+    grid_reach,
+    product_vertex_set,
+)
 
 
 def family_minorant(family, m):
@@ -234,7 +239,7 @@ class TestSharpness:
             Fraction(0),
         )
         assert box.size == round(math.exp(cert.log_size))
-        assert edge_boundary(product, box) == box.size * exact_ratio
+        assert boundary_by_recount(product, box.members()) == box.size * exact_ratio
         assert cert.bound_per_vertex == pytest.approx(float(exact_ratio), rel=1e-9, abs=1e-9)
 
     def test_petersen_pair_midpoint(self):

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import first_dirichlet_pair_by_scan
+from oracles import boundary_by_recount, first_dirichlet_pair_by_scan, product_vertex_set
 
 from isobound import (
     Graph,
@@ -17,12 +17,10 @@ from isobound import (
     VerificationReport,
     build_minorant,
     cartesian_product,
-    edge_boundary,
     generate,
     min_boundary,
     parse_product_spec,
     petersen,
-    product_vertex_set,
     profile_bruteforce,
     profile_closed_form,
     q71_witness,
@@ -143,7 +141,7 @@ class TestNonlinearityWitness:
         truth, _ = min_boundary(product, w.sizes[1])
         assert truth == w.sizes[1] * w.exact_per_vertex[1]
         box = product_vertex_set(spec, [prof.entry(2).witness] * 2)
-        assert edge_boundary(product, box) == truth
+        assert boundary_by_recount(product, box.members()) == truth
 
     def test_huge_power_stays_symbolic(self, capsys):
         g, prof, psi = self.c5_parts()
@@ -333,7 +331,7 @@ class TestSlabBoundary:
         full = profile_closed_form("cycle", 4).entry(4).witness
         slab = product_vertex_set(spec, [single, single, full])
         assert slab.size == 4
-        assert edge_boundary(cartesian_product(spec), slab) == slab.size * 2 * 2
+        assert boundary_by_recount(cartesian_product(spec), slab.members()) == slab.size * 2 * 2
 
     def test_matches_materialized_slab(self):
         spec = parse_product_spec("cycle:4^2")
@@ -342,4 +340,4 @@ class TestSlabBoundary:
         single = profile_closed_form("cycle", 4).entry(1).witness
         slab = product_vertex_set(spec, [single, full])
         assert slab.size == 4
-        assert edge_boundary(product, slab) == slab.size * 1 * 2
+        assert boundary_by_recount(product, slab.members()) == slab.size * 1 * 2

@@ -11,7 +11,7 @@ import pytest
 import isobound
 from isobound import certify, minorants, profiles
 from isobound.cli import build_parser, parse_log_size, run
-from isobound.graphs import MAX_VERTICES_ENV, ParseError
+from isobound.graphs import ParseError
 
 PATH4_CSV = (
     "k,min_boundary,i_k_num,i_k_den,witness\n"
@@ -313,9 +313,10 @@ class TestVerifyWithoutProduct:
     @pytest.mark.parametrize("spec,sizes,truths", [
         ("complete:2^60", "1,8,1000", [60, 456, 50136]),
         ("path:13^20", "1", [20]),
+        ("path:13^20", str(13**20 - 1), [20]),
         ("cycle:5^100", f"1,{5**100}", [200, 0]),
         ("complete:2^4", None, [4, 6, 8, 8, 10, 10, 10, 8, 10, 10, 10, 8, 8, 6, 4, 0]),
-    ], ids=["Q60", "P13^20", "C5^100-whole", "Q4-all-sizes"])
+    ], ids=["Q60", "P13^20", "P13^20-co-singleton", "C5^100-whole", "Q4-all-sizes"])
     def test_exact_truths(self, spec, sizes, truths, no_product, capsys):
         argv = ["verify", spec, "--output", "json"] + (["--sizes", sizes] if sizes else [])
         assert run(argv) == 0
@@ -330,7 +331,8 @@ class TestVerifyWithoutProduct:
 
     def test_search_still_refused_above_cap(self, capsys):
         assert run(["verify", "path:13^6", "--sizes", "2"]) == 2
-        assert "product needs 4826809 vertices but the cap is" in capsys.readouterr().err
+        units = 4826809 * 4826808 // 2
+        assert f"product of 4826809 vertices charges {units} units" in capsys.readouterr().err
 
 
 class TestCertifyQ71Command:
@@ -426,8 +428,8 @@ class TestDistinctFactors:
 
     @pytest.mark.parametrize("spec,vertices", [("complete:2^15", 2**15), ("path:13^4", 13**4)])
     def test_family_factors_never_searched(self, spec, vertices, searched, capsys):
-        # neither the factors nor the product: both truths come from the factors
-        assert run(["verify", spec, "--sizes", f"1,{vertices}"]) == 0
+        # neither the factors nor the product: every truth comes from the factors
+        assert run(["verify", spec, "--sizes", f"1,{vertices - 1},{vertices}"]) == 0
         assert searched == []
 
     def test_exhaustive_forces_search(self, searched, capsys):
@@ -461,11 +463,6 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
-
-    def test_cap_env(self, monkeypatch, capsys):
-        monkeypatch.setenv(MAX_VERTICES_ENV, "8")
-        assert run(["profile", "cycle:3^2"]) == 2
-        assert "cap" in capsys.readouterr().err
 
     def test_parser_reused_across_commands(self, capsys):
         argvs = [

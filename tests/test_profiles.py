@@ -12,7 +12,6 @@ from isobound import (
     ProductSpec,
     VertexSet,
     cartesian_product,
-    edge_boundary,
     generate,
     min_boundary,
     parse_product_spec,
@@ -24,7 +23,7 @@ from isobound import profiles
 from isobound.cli import run
 from isobound.profiles import nested_boundary, resolve_profiles
 
-from oracles import min_boundary_by_enumeration
+from oracles import boundary_by_recount, min_boundary_by_enumeration
 
 PETERSEN_BOUNDARIES = (3, 4, 5, 6, 5, 6, 5, 4, 3, 0)
 
@@ -163,7 +162,26 @@ class TestMinBoundary:
         for k in range(1, g.vertex_count + 1):
             value, witness = min_boundary(g, k)
             assert witness.size == k
-            assert edge_boundary(g, witness) == value
+            assert boundary_by_recount(g, witness.members()) == value
+
+    @pytest.mark.parametrize("g", [
+        petersen(),
+        cartesian_product(parse_product_spec("cycle:3^2")),
+        random_connected_graph(random.Random(600), 9),
+    ], ids=["petersen", "C3^2", "random"])
+    def test_matches_enumeration_at_every_size(self, g):
+        # above m/2: a value search at m - k, then the complement search
+        got = [min_boundary(g, k) for k in range(1, g.vertex_count + 1)]
+        assert [(value, w.members()) for value, w in got] == by_enumeration(g)
+
+    def test_large_size_takes_its_complement(self, monkeypatch):
+        # a forward search at 22 on Q5 charges 6.9 million units; the value
+        # search at 10 and the complement search, 0.88 million together
+        q5 = cartesian_product(parse_product_spec("complete:2^5"))
+        monkeypatch.setattr(profiles, "SEARCH_BUDGET", 10**6)
+        value, witness = min_boundary(q5, 22)
+        assert value == nested_boundary([2] * 5, 22) == 20
+        assert witness.members() == tuple(range(22))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_singleton_is_min_degree(self, seed):
@@ -285,6 +303,15 @@ class TestCaps:
         assert "adjacency_masks" not in g.__dict__
         assert run(["profile", f"{family}:10000", "--exhaustive"]) == 2
         assert "over the budget" in capsys.readouterr().err
+
+    def test_product_refused_before_it_is_built(self, capsys):
+        # a search of 10^6 vertices would charge its masks first
+        assert run(["profile", "path:1000^2"]) == 2
+        units = 10**6 * (10**6 - 1) // 2
+        assert capsys.readouterr().err == (
+            f"error: product of 1000000 vertices charges {units} units of work for"
+            f" its adjacency masks alone, over the budget of 20000000\n"
+        )
 
     def test_path31_answers(self):
         value, _ = min_boundary(generate("path", 31), 2)
