@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass
 
 from .graphs import VertexSet
-from .profiles import IsoProfile
+from .minorants import LOG_TOL, log_domain
 
-BUDGET_TOL = 1e-12
-CERT_REL_TOL = 1e-9
+TIGHT_REL_TOL = 1e-9  # a construction or truth this close to the bound meets it
 
 
 @dataclass(frozen=True)
@@ -37,14 +36,11 @@ class AllocationResult:
 
 
 def _budget(log_size: float, total: float) -> float:
-    """log_size clamped to [0, total].  The tolerance is relative because a
-    sum of n logs rounds by about n ulps, either way: within it of total the
-    set is the whole product, so the budget snaps to total.  Snapping up is
-    sound, since every minorant decreases."""
-    tol = BUDGET_TOL * max(1.0, total)
-    if not -tol <= log_size <= total + tol:  # NaN fails too
-        raise ValueError(f"log size {log_size} outside [0, {total}]")
-    return total if log_size >= total - tol else max(log_size, 0.0)
+    """log_domain(log_size, total), except that within its tolerance below
+    total the set is the whole product, so the budget snaps to total.
+    Snapping up is sound, since every minorant decreases."""
+    x = log_domain(log_size, total)
+    return total if x >= total - LOG_TOL * max(1.0, total) else x
 
 
 def theorem_bound(
@@ -165,7 +161,7 @@ def sharpness_certificate(profiles, minorants, slope: float) -> SharpnessCertifi
         construction += float(entry.ratio)
 
     bound = theorem_bound(minorants, log_size).bound_per_vertex
-    if abs(construction - bound) > CERT_REL_TOL * max(1.0, abs(construction)):
+    if abs(construction - bound) > TIGHT_REL_TOL * max(1.0, abs(construction)):
         raise ValueError(
             f"certificate equality failed: construction {construction} vs bound {bound}"
         )

@@ -34,15 +34,14 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .allocation import theorem_bound
+from .allocation import TIGHT_REL_TOL, theorem_bound
 from .graphs import Graph, ProductSpec, cartesian_product
 from .minorants import ConvexMinorant, RegularSummary, build_minorants
 from .profiles import IsoProfile, min_boundary, nested_boundary, resolve_profiles
 
-TIGHT_REL_TOL = 1e-9
 ALL_K_CAP = 20
 EPS_FLOOR = 1e-12
-DEFAULT_T_MAX = 10**6
+T_MAX = 10**6  # q72_certificate tries t <= T_MAX
 
 
 class SlabsOptimalError(ValueError):
@@ -211,12 +210,10 @@ def q72_certificate(
     g: Graph,
     summary: RegularSummary,
     eps_start: float = 0.1,
-    *,
-    t_max: int = DEFAULT_T_MAX,
 ) -> DirichletCertificate:
     """Certificate that slabs are beaten at size m^t for large products.
 
-    Halves eps from eps_start; for each eps finds the least t <= t_max with
+    Halves eps from eps_start; for each eps finds the least t <= T_MAX with
     s = round(t log(m/k*) / log m) >= 1 and |s log m - t log(m/k*)| <= eps/2,
     then requires the strict normalized inequality
 
@@ -230,9 +227,9 @@ def q72_certificate(
     ||s beta|| <= eps/(2 log(m/k*)) is a best approximation of the second
     kind, and every such approximation is a convergent (Khinchin, Continued
     Fractions, 1964, section 6; Hardy and Wright, ch. 10).  Each step is
-    decided with the same float expressions as a scan over t = 1, ..., t_max,
+    decided with the same float expressions as a scan over t = 1, ..., T_MAX,
     so both give the same pair unless a double rounding error crosses eps/2,
-    and the walk takes O(log t_max) steps per eps.  t_max only stops it.
+    and the walk takes O(log T_MAX) steps per eps.  T_MAX only stops it.
     """
     m = g.vertex_count
     d = summary.degree
@@ -249,11 +246,11 @@ def q72_certificate(
     log_m = math.log(m)
     log_ratio = math.log(m / k_star)
     i_k_star = y * (log_ratio / log_m)
-    convergents = _beta_convergents(m, k_star, t_max)
+    convergents = _beta_convergents(m, k_star, T_MAX)
 
     eps = eps_start
     while eps >= EPS_FLOOR:
-        found = _dirichlet_pair(log_m, log_ratio, convergents, eps, t_max)
+        found = _dirichlet_pair(log_m, log_ratio, convergents, eps, T_MAX)
         if found is not None:
             s, t, err = found
             construction = t * i_k_star
@@ -278,7 +275,7 @@ def q72_certificate(
                 )
         eps /= 2.0
     raise ValueError(
-        f"certificate search failed: no (s, t) with t <= {t_max} satisfied the"
+        f"certificate search failed: no (s, t) with t <= {T_MAX} satisfied the"
         f" inequalities for any eps down to {EPS_FLOOR}"
     )
 

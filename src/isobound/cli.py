@@ -156,7 +156,7 @@ def _cmd_minorant(args) -> int:
     psi = build_minorant(prof)
     summary = None
     if g.vertex_count >= 2 and g.is_regular() and g.is_connected():
-        summary = regular_summary(g, prof)
+        summary = regular_summary(g, psi)
     doc = _record(psi)
     if args.output == "json":
         _emit_json({**doc, "graph": g.label, "regular_summary": _record(summary)})
@@ -175,7 +175,7 @@ def _cmd_minorant(args) -> int:
     return 0
 
 
-def _closed_form_reports(spec: ProductSpec, factor_profiles, log_size, size) -> list[BoundReport]:
+def _closed_form_reports(spec: ProductSpec, minorants, log_size, size) -> list[BoundReport]:
     factors = spec.factors
     n = len(factors)
     fams = [f.family for f in factors]
@@ -208,7 +208,7 @@ def _closed_form_reports(spec: ProductSpec, factor_profiles, log_size, size) -> 
         add("regular_product", {"degrees": degrees, "sizes": sizes}, v)
         if all(f == factors[0] for f in factors) and factors[0].is_connected() and sizes[0] >= 2:
             m = factors[0].vertex_count
-            summary = regular_summary(factors[0], factor_profiles[0])
+            summary = regular_summary(factors[0], minorants[0])
             v = regular_power_bound(summary, m, n, log_size)
             params = {"n": n, "m": m, "k_star": summary.k_star, "y_intercept": summary.y_intercept}
             add("regular_power", params, v)
@@ -228,10 +228,9 @@ def _cmd_bound(args) -> int:
         print(f"error: --size must be positive, got {size}", file=sys.stderr)
         return 2
     log_size = math.log(size) if size is not None else parse_log_size(args.log_size)
-    factor_profiles = resolve_profiles(spec.factors)
-    minorants = build_minorants(factor_profiles)
+    minorants = build_minorants(resolve_profiles(spec.factors))
     result = theorem_bound(minorants, log_size if size is None else None, size=size)
-    reports = _closed_form_reports(spec, factor_profiles, log_size, size)
+    reports = _closed_form_reports(spec, minorants, log_size, size)
     theorem, closed = _record(result), [_record(r) for r in reports]
     if args.output == "json":
         doc = {"spec": args.spec, "size": size, "log_size": log_size}
@@ -349,7 +348,7 @@ def _cmd_certify_q72(args) -> int:
         return 2
     g = spec.factors[0]
     (prof,) = resolve_profiles([g])
-    summary = regular_summary(g, prof)
+    summary = regular_summary(g, build_minorant(prof))
     try:
         cert = q72_certificate(g, summary, args.eps_start)
     except SlabsOptimalError as exc:

@@ -11,23 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .minorants import RegularSummary
-
-DOMAIN_TOL = 1e-12
-
-
-def _check_range(log_size: float, total: float) -> float:
-    tol = DOMAIN_TOL * max(1.0, total)  # relative: a sum of n logs rounds by ~n ulps
-    if not -tol <= log_size <= total + tol:  # NaN fails too
-        raise ValueError(f"log size {log_size} outside [0, {total}]")
-    return min(max(log_size, 0.0), total)
+from .minorants import RegularSummary, log_domain
 
 
 def hamming_bound(n: int, m: int, log_size: float) -> float:
     """Products of n complete graphs K_m: (m - 1) * (n - log_size / log m)."""
     if n < 1 or m < 2:
         raise ValueError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    x = _check_range(log_size, n * math.log(m))
+    x = log_domain(log_size, n * math.log(m))
     return max(0.0, (m - 1) * (n - x / math.log(m)))
 
 
@@ -36,7 +27,7 @@ def grid_bound(n: int, m: int, log_size: float) -> float:
     n * e^{-x/n} while x <= n(log m - 1), then the line (e/m)(n log m - x)."""
     if n < 1 or m < 3:
         raise ValueError(f"need n >= 1 and m >= 3, got n={n}, m={m}")
-    x = _check_range(log_size, n * math.log(m))
+    x = log_domain(log_size, n * math.log(m))
     if x <= n * (math.log(m) - 1.0):
         return n * math.exp(-x / n)
     return max(0.0, (math.e / m) * (n * math.log(m) - x))
@@ -52,7 +43,7 @@ def bl_bound(n: int, m: int, log_size: float, torus: bool = False) -> float:
     (1/m) * min_{1 <= r <= n} r * exp((n log m - x) / r)."""
     if n < 1 or m < 2:
         raise ValueError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    x = _check_range(log_size, n * math.log(m))
+    x = log_domain(log_size, n * math.log(m))
     rest = n * math.log(m) - x
     best = min(r * math.exp(rest / r) for r in range(1, n + 1))
     return (2.0 if torus else 1.0) * best / m
@@ -70,7 +61,7 @@ def regular_product_bound(degrees, sizes, log_size: float) -> float:
             raise ValueError(f"need degrees >= 1, got {d_i}")
         if m_i < d_i + 1:
             raise ValueError(f"a {d_i}-regular factor needs at least {d_i + 1} vertices")
-    x = _check_range(log_size, sum(math.log(m_i) for m_i in sizes))
+    x = log_domain(log_size, sum(math.log(m_i) for m_i in sizes))
     d = sum(degrees)
     big = max(degrees)
     return max(0.0, d - big * x / math.log(big + 1))
@@ -85,7 +76,7 @@ def connected_regular_bound(sizes, log_size: float) -> float:
     if min(sizes) < 2:
         raise ValueError("every factor needs at least 2 vertices")
     total = sum(math.log(m_i) for m_i in sizes)
-    x = _check_range(log_size, total)
+    x = log_domain(log_size, total)
     return max(0.0, (math.e / max(sizes)) * (total - x))
 
 
@@ -94,7 +85,7 @@ def regular_power_bound(summary: RegularSummary, m: int, n: int, log_size: float
     gives y_intercept * (n - log_size / log m)."""
     if n < 1 or m < 2:
         raise ValueError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    x = _check_range(log_size, n * math.log(m))
+    x = log_domain(log_size, n * math.log(m))
     return max(0.0, summary.y_intercept * (n - x / math.log(m)))
 
 

@@ -20,10 +20,19 @@ from functools import cached_property
 from .graphs import Graph
 from .profiles import IsoProfile
 
-ENDPOINT_TOL = 1e-12
+LOG_TOL = 1e-12
 COLLINEAR_TOL = 1e-12
 
 LEFT_INFINITE = float("-inf")  # sentinel: subdifferential is unbounded below at x = 0
+
+
+def log_domain(x: float, end: float) -> float:
+    """x clamped to [0, end], refused when it lies further outside.  The
+    tolerance is relative because a sum of n logs rounds by about n ulps."""
+    tol = LOG_TOL * max(1.0, end)
+    if not -tol <= x <= end + tol:  # NaN fails too
+        raise ValueError(f"log size {x} outside [0, {end}]")
+    return min(max(x, 0.0), end)
 
 
 @dataclass(frozen=True)
@@ -38,11 +47,6 @@ class ConvexMinorant:
     domain_end: float  # log m
     breakpoints: tuple[Breakpoint, ...]
 
-    def _clamp(self, x: float) -> float:
-        if x < -ENDPOINT_TOL or x > self.domain_end + ENDPOINT_TOL:
-            raise ValueError(f"x = {x} outside [0, {self.domain_end}]")
-        return min(max(x, 0.0), self.domain_end)
-
     @cached_property
     def xs(self) -> tuple[float, ...]:
         return tuple(b.x for b in self.breakpoints)
@@ -55,7 +59,7 @@ class ConvexMinorant:
         )
 
     def evaluate(self, x: float) -> float:
-        x = self._clamp(x)
+        x = log_domain(x, self.domain_end)
         bps = self.breakpoints
         if len(bps) == 1:
             return bps[0].y
@@ -77,14 +81,15 @@ class ConvexMinorant:
     def one_sided_derivatives(self, x: float) -> tuple[float, float]:
         """(left, right) derivative; -inf sentinel at 0, right derivative 0 at
         the domain end (constant-zero continuation convention)."""
-        x = self._clamp(x)
+        x = log_domain(x, self.domain_end)
         slopes = self._slopes
         xs = self.xs
         j = bisect_right(xs, x) - 1
         # knots lie at log k for distinct k, so at most one is within the
         # tolerance, and it is a neighbour of x
+        tol = LOG_TOL * max(1.0, self.domain_end)
         for i in (j, j + 1):
-            if i < len(xs) and abs(x - xs[i]) <= ENDPOINT_TOL:
+            if i < len(xs) and abs(x - xs[i]) <= tol:
                 left = LEFT_INFINITE if i == 0 else slopes[i - 1]
                 right = 0.0 if i == len(xs) - 1 else slopes[i]
                 return left, right
@@ -140,7 +145,10 @@ class RegularSummary:
     chord_slope: float
 
 
-def regular_summary(g: Graph, profile: IsoProfile) -> RegularSummary:
+def regular_summary(g: Graph, psi: ConvexMinorant) -> RegularSummary:
+    """Read from the hull's last segment.  Every point (log k, i_k) lies on or
+    above it and it ends at (log m, 0), so it is the shallowest chord; the
+    hull drops collinear points, so its left breakpoint is the least k on it."""
     m = g.vertex_count
     if m < 2:
         raise ValueError("regular summary needs at least 2 vertices")
@@ -148,15 +156,9 @@ def regular_summary(g: Graph, profile: IsoProfile) -> RegularSummary:
         raise ValueError("graph is not regular")
     if not g.is_connected():
         raise ValueError("graph is not connected")
-    if profile.graph_size != m:
-        raise ValueError("profile does not match the graph")
-    log_m = math.log(m)
-    best_k = None
-    best_slope = -math.inf
-    for k in range(1, m):
-        slope = -float(profile.ratio(k)) / (log_m - math.log(k))
-        if slope > best_slope:  # ties keep the smallest k
-            best_slope = slope
-            best_k = k
-    y = float(profile.ratio(best_k)) * log_m / (log_m - math.log(best_k))
-    return RegularSummary(g.degrees[0], best_k, y, best_slope)
+    if psi.breakpoints[-1].k != m:
+        raise ValueError("minorant does not match the graph")
+    log_m = psi.domain_end
+    b = psi.breakpoints[-2]
+    y = b.y * log_m / (log_m - b.x)
+    return RegularSummary(g.degrees[0], b.k, y, -b.y / (log_m - b.x))

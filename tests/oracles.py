@@ -5,8 +5,9 @@ oracles are exhaustive searches (a uniform grid sweep and a knot sweep), the
 boundary oracle recounts edges from adjacency lists and a plain set, the
 vertex-set builders place members and product coordinates bit by bit, the
 minimum-boundary oracle walks every k-subset with itertools.combinations,
-the Dirichlet-pair oracle scans t = 1, 2, ... one by one, and the derivative
-oracle scans the knots of a minorant in order.
+the Dirichlet-pair oracle scans t = 1, 2, ... one by one, the derivative
+oracle scans the knots of a minorant in order, and the shallowest-chord
+oracle scans every size k of a profile.
 """
 
 from __future__ import annotations
@@ -169,3 +170,18 @@ def one_sided_derivatives_by_scan(psi, x: float, tol: float) -> tuple[float, flo
             return (-math.inf if j == 0 else slopes[j - 1], 0.0 if j == len(bps) - 1 else slopes[j])
     j = max(i for i, b in enumerate(bps) if b.x <= x)
     return slopes[j], slopes[j]
+
+
+def regular_summary_by_scan(g, profile) -> tuple[int, int, float, float]:
+    """(degree, k*, y_intercept, chord_slope) of the shallowest chord through
+    (log k, i_k) and (log m, 0), by a scan over k = 1, ..., m - 1.  A slope
+    within 1e-12 relative of the best so far is a tie, and ties keep the
+    smaller k."""
+    log_m = math.log(g.vertex_count)
+    best_k, best = None, -math.inf
+    for k in range(1, g.vertex_count):
+        slope = -float(profile.ratio(k)) / (log_m - math.log(k))
+        if best_k is None or slope - best > 1e-12 * max(abs(slope), abs(best)):
+            best_k, best = k, slope
+    i_k = float(profile.ratio(best_k))
+    return g.degrees[0], best_k, i_k * log_m / (log_m - math.log(best_k)), best

@@ -179,7 +179,7 @@ def test_criterion_09_slab_counterexample_and_optimal_cases(capsys):
         capsys, 9, "C_5 slab counterexample re-verified; complete graphs report optimal slabs"
     ):
         g = generate("cycle", 5)
-        summary = regular_summary(g, profile_bruteforce(g))
+        summary = regular_summary(g, build_minorant(profile_bruteforce(g)))
         cert = q72_certificate(g, summary)
         log_m = math.log(5)
         log_ratio = math.log(5 / cert.k_star)
@@ -193,7 +193,7 @@ def test_criterion_09_slab_counterexample_and_optimal_cases(capsys):
         for m in range(3, 9):
             k = generate("complete", m)
             with pytest.raises(SlabsOptimalError):
-                q72_certificate(k, regular_summary(k, profile_bruteforce(k)))
+                q72_certificate(k, regular_summary(k, build_minorant(profile_bruteforce(k))))
 
 
 def test_criterion_10_oversized_products_are_refused(capsys):

@@ -28,6 +28,7 @@ from isobound import (
     regular_summary,
     verify_theorem,
 )
+from isobound import certify
 from isobound.certify import _beta_convergents, _convergents, _dirichlet_pair
 from isobound.cli import run
 
@@ -207,7 +208,7 @@ def recheck_certificate(cert, m):
 class TestDirichletCertificate:
     def test_c5(self):
         g = generate("cycle", 5)
-        summary = regular_summary(g, profile_bruteforce(g))
+        summary = regular_summary(g, build_minorant(profile_bruteforce(g)))
         cert = q72_certificate(g, summary)
         assert cert.k_star == 2
         assert cert.i_k_star == pytest.approx(1.0, rel=1e-12)
@@ -218,7 +219,7 @@ class TestDirichletCertificate:
 
     def test_petersen(self):
         g = petersen()
-        summary = regular_summary(g, profile_bruteforce(g))
+        summary = regular_summary(g, build_minorant(profile_bruteforce(g)))
         cert = q72_certificate(g, summary)
         assert cert.degree == 3
         assert cert.y_intercept < 3
@@ -227,26 +228,27 @@ class TestDirichletCertificate:
     @pytest.mark.parametrize("m", range(3, 9))
     def test_complete_graphs_have_optimal_slabs(self, m):
         g = generate("complete", m)
-        summary = regular_summary(g, profile_bruteforce(g))
+        summary = regular_summary(g, build_minorant(profile_bruteforce(g)))
         with pytest.raises(SlabsOptimalError):
             q72_certificate(g, summary)
 
-    def test_search_failure_with_tiny_t_cap(self):
+    def test_search_failure_with_tiny_t_cap(self, monkeypatch):
         g = generate("cycle", 5)
-        summary = regular_summary(g, profile_bruteforce(g))
-        with pytest.raises(ValueError, match="search failed"):
-            q72_certificate(g, summary, t_max=1)
+        summary = regular_summary(g, build_minorant(profile_bruteforce(g)))
+        monkeypatch.setattr(certify, "T_MAX", 1)
+        with pytest.raises(ValueError, match="t <= 1 satisfied"):
+            q72_certificate(g, summary)
 
     def test_mismatched_summary(self):
         g = generate("cycle", 5)
         p = petersen()
-        wrong = regular_summary(p, profile_bruteforce(p))
+        wrong = regular_summary(p, build_minorant(profile_bruteforce(p)))
         with pytest.raises(ValueError, match="does not match"):
             q72_certificate(g, wrong)
 
     def test_bad_eps_start(self):
         g = generate("cycle", 5)
-        summary = regular_summary(g, profile_bruteforce(g))
+        summary = regular_summary(g, build_minorant(profile_bruteforce(g)))
         with pytest.raises(ValueError, match="eps_start"):
             q72_certificate(g, summary, eps_start=0.0)
 
@@ -254,7 +256,7 @@ class TestDirichletCertificate:
     def test_eps_start_must_be_positive_and_finite(self, eps_start):
         # halving inf stays inf, and nan skips the eps loop
         g = generate("cycle", 5)
-        summary = regular_summary(g, profile_bruteforce(g))
+        summary = regular_summary(g, build_minorant(profile_bruteforce(g)))
         with pytest.raises(ValueError, match="eps_start must be positive and finite"):
             q72_certificate(g, summary, eps_start=eps_start)
 

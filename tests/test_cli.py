@@ -87,6 +87,15 @@ class TestMinorantCommand:
         assert doc["regular_summary"]["k_star"] == 2
         assert doc["domain_end"] == pytest.approx(math.log(5), rel=1e-15)
 
+    def test_json_tie_reads_the_hull(self, capsys):
+        # C4^2 = Q4 has a one-segment hull; the summary is that segment
+        assert run(["minorant", "cycle:4^2", "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [b["k"] for b in doc["breakpoints"]] == [1, 16]
+        summary = doc["regular_summary"]
+        assert (summary["k_star"], summary["y_intercept"]) == (1, 4.0)
+        assert summary["chord_slope"] == -1.4426950408889634
+
     def test_json_irregular_has_no_summary(self, capsys):
         assert run(["minorant", "path:5", "--output", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -21,10 +21,47 @@ from isobound import (
     torus_bound,
 )
 from isobound.cli import run
+from isobound.minorants import LOG_TOL
 
 
 def family_minorant(family, m):
     return build_minorant(profile_closed_form(family, m))
+
+
+def _c5_summary():
+    g = generate("cycle", 5)
+    return regular_summary(g, build_minorant(profile_bruteforce(g)))
+
+
+# (name, domain end, the log size -> value call); every end is above 1, so
+# the tolerance LOG_TOL * end is relative
+DOMAIN_CASES = [
+    ("theorem_bound", math.log(5) + math.log(3),
+     lambda x: theorem_bound([family_minorant("path", 5), family_minorant("complete", 3)], x)),
+    ("hamming", 3 * math.log(4), lambda x: hamming_bound(3, 4, x)),
+    ("grid", 2 * math.log(5), lambda x: grid_bound(2, 5, x)),
+    ("torus", 2 * math.log(5), lambda x: torus_bound(2, 5, x)),
+    ("bl", 2 * math.log(5), lambda x: bl_bound(2, 5, x)),
+    ("regular_product", math.log(5) + math.log(4),
+     lambda x: regular_product_bound([2, 3], [5, 4], x)),
+    ("connected_regular", math.log(5) + math.log(4),
+     lambda x: connected_regular_bound([5, 4], x)),
+    ("regular_power", 3 * math.log(5), lambda x: regular_power_bound(_c5_summary(), 5, 3, x)),
+    ("evaluate", math.log(5), lambda x: family_minorant("path", 5).evaluate(x)),
+    ("one_sided_derivatives", math.log(5),
+     lambda x: family_minorant("path", 5).one_sided_derivatives(x)),
+]
+
+
+@pytest.mark.parametrize("end,call", [c[1:] for c in DOMAIN_CASES], ids=[c[0] for c in DOMAIN_CASES])
+def test_one_log_domain_rule(end, call):
+    tol = LOG_TOL * max(1.0, end)
+    assert end > 1.0
+    for inside in (-tol / 2, end + tol / 2):
+        call(inside)
+    for outside in (math.nan, -2 * tol, end + 2 * tol):
+        with pytest.raises(ValueError, match="outside"):
+            call(outside)
 
 
 class TestHamming:
@@ -188,9 +225,8 @@ class TestConnectedRegular:
 class TestRegularPower:
     def test_equals_homogeneous_on_last_segment(self):
         g = generate("cycle", 5)
-        prof = profile_bruteforce(g)
-        summary = regular_summary(g, prof)
-        psi = build_minorant(prof)
+        psi = build_minorant(profile_bruteforce(g))
+        summary = regular_summary(g, psi)
         n = 3
         x_lo = n * math.log(summary.k_star)
         x_hi = n * math.log(5)
@@ -204,9 +240,8 @@ class TestRegularPower:
 
     def test_below_homogeneous_everywhere(self):
         g = petersen()
-        prof = profile_bruteforce(g)
-        summary = regular_summary(g, prof)
-        psi = build_minorant(prof)
+        psi = build_minorant(profile_bruteforce(g))
+        summary = regular_summary(g, psi)
         rng = random.Random(5)
         n = 2
         for _ in range(30):
@@ -219,13 +254,13 @@ class TestRegularPower:
 
     def test_degree_line_for_complete(self):
         g = generate("complete", 4)
-        summary = regular_summary(g, profile_bruteforce(g))
+        summary = regular_summary(g, build_minorant(profile_bruteforce(g)))
         x = math.log(4)
         assert regular_power_bound(summary, 4, 3, x) == pytest.approx(3.0 * 2.0, abs=1e-12)
 
     def test_rejects(self):
         g = generate("cycle", 5)
-        summary = regular_summary(g, profile_bruteforce(g))
+        summary = regular_summary(g, build_minorant(profile_bruteforce(g)))
         with pytest.raises(ValueError, match="n >= 1"):
             regular_power_bound(summary, 5, 0, 0.0)
 

@@ -1,6 +1,7 @@
 import math
 import random
-from dataclasses import fields
+from dataclasses import astuple, fields
+from pathlib import Path
 
 import pytest
 
@@ -9,15 +10,19 @@ from isobound import (
     build_minorant,
     cartesian_product,
     generate,
+    parse_graph,
     parse_product_spec,
     petersen,
     profile_bruteforce,
     profile_closed_form,
     regular_summary,
 )
-from isobound.minorants import ENDPOINT_TOL, LEFT_INFINITE
+from isobound.minorants import LEFT_INFINITE, LOG_TOL
+from isobound.profiles import resolve_profiles
 
-from oracles import one_sided_derivatives_by_scan
+from oracles import one_sided_derivatives_by_scan, regular_summary_by_scan
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # Frozen golden values, derived independently before the library existed.
 K3_AT_LOG2 = 0.7381404928570852
@@ -126,9 +131,10 @@ class TestHullInvariants:
             # the derivatives equal a linear scan over the knots at every
             # breakpoint, half a tolerance either side of it, and at midpoints
             xs = [b.x for b in psi.breakpoints]
-            points = [x + d for x in xs for d in (-ENDPOINT_TOL / 2, 0.0, ENDPOINT_TOL / 2)]
+            tol = LOG_TOL * max(1.0, psi.domain_end)
+            points = [x + d for x in xs for d in (-tol / 2, 0.0, tol / 2)]
             for x in points + [(a + b) / 2 for a, b in zip(xs, xs[1:])]:
-                expected = one_sided_derivatives_by_scan(psi, x, ENDPOINT_TOL)
+                expected = one_sided_derivatives_by_scan(psi, x, tol)
                 assert psi.one_sided_derivatives(x) == expected, (g, x)
 
     def test_raising_any_vertex_breaks_minorance(self):
@@ -177,7 +183,7 @@ class TestRegularSummary:
     @pytest.mark.parametrize("m", range(2, 9))
     def test_complete(self, m):
         g = generate("complete", m)
-        s = regular_summary(g, profile_bruteforce(g))
+        s = regular_summary(g, build_minorant(profile_bruteforce(g)))
         assert s.degree == m - 1
         assert s.k_star == 1
         assert s.y_intercept == pytest.approx(float(m - 1), rel=1e-15)
@@ -185,20 +191,20 @@ class TestRegularSummary:
 
     def test_cycle5_golden(self):
         g = generate("cycle", 5)
-        s = regular_summary(g, profile_bruteforce(g))
+        s = regular_summary(g, build_minorant(profile_bruteforce(g)))
         assert s.k_star == 2
         assert s.y_intercept == pytest.approx(C5_Y_INTERCEPT, rel=1e-12)
         assert s.chord_slope == pytest.approx(C5_CHORD_SLOPE, rel=1e-12)
 
     def test_cycle6(self):
         g = generate("cycle", 6)
-        s = regular_summary(g, profile_bruteforce(g))
+        s = regular_summary(g, build_minorant(profile_bruteforce(g)))
         assert s.k_star == 2
         assert s.y_intercept == pytest.approx(math.log(6) / math.log(3), rel=1e-12)
 
     def test_petersen_beats_degree(self):
         g = petersen()
-        s = regular_summary(g, profile_bruteforce(g))
+        s = regular_summary(g, build_minorant(profile_bruteforce(g)))
         assert s.k_star == 2
         assert s.y_intercept == pytest.approx(PETERSEN_Y_INTERCEPT, rel=1e-12)
         assert s.y_intercept < s.degree
@@ -207,7 +213,7 @@ class TestRegularSummary:
         # the chord through (log k*, i_{k*}) must dominate every other chord
         g = petersen()
         prof = profile_bruteforce(g)
-        s = regular_summary(g, prof)
+        s = regular_summary(g, build_minorant(prof))
         log_m = math.log(10)
         for k in range(1, 10):
             slope_k = -float(prof.ratio(k)) / (log_m - math.log(k))
@@ -216,19 +222,68 @@ class TestRegularSummary:
     def test_rejects_irregular(self):
         g = generate("path", 4)
         with pytest.raises(ValueError, match="not regular"):
-            regular_summary(g, profile_bruteforce(g))
+            regular_summary(g, build_minorant(profile_bruteforce(g)))
 
     def test_rejects_disconnected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="not connected"):
-            regular_summary(g, profile_bruteforce(g))
+            regular_summary(g, build_minorant(profile_bruteforce(g)))
 
     def test_rejects_mismatched_profile(self):
         g = generate("cycle", 5)
         with pytest.raises(ValueError, match="does not match"):
-            regular_summary(g, profile_closed_form("cycle", 6))
+            regular_summary(g, build_minorant(profile_closed_form("cycle", 6)))
 
     def test_rejects_single_vertex(self):
         g = Graph.from_edges(1, [])
         with pytest.raises(ValueError, match="at least 2"):
-            regular_summary(g, profile_bruteforce(g))
+            regular_summary(g, build_minorant(profile_bruteforce(g)))
+
+
+def circulant(m, steps):
+    edges = {tuple(sorted((v, (v + s) % m))) for v in range(m) for s in steps}
+    return Graph.from_edges(m, sorted(edges), label=f"circulant:{m}:{steps}")
+
+
+def regular_connected_sweep():
+    """Families up to m = 60, Petersen, the prism, C4^2 as a product and as a
+    file, and seeded connected circulants on 6 to 18 vertices."""
+    for m in range(2, 61):
+        yield generate("complete", m)
+        if m >= 3:
+            yield generate("cycle", m)
+    yield generate("path", 2)
+    yield petersen()
+    yield parse_graph((GOLDEN / "prism.txt").read_text())
+    c4_sq = cartesian_product(parse_product_spec("cycle:4^2"))
+    yield c4_sq
+    edges = [(v, u) for v in range(16) for u in c4_sq.adjacency[v] if v < u]
+    yield parse_graph("16\n" + "".join(f"{v} {u}\n" for v, u in edges))
+    rng = random.Random(17)
+    for m in range(6, 19):
+        for _ in range(20):
+            steps = tuple(sorted(rng.sample(range(1, m // 2 + 1), rng.randint(1, 3))))
+            if math.gcd(m, *steps) == 1:
+                yield circulant(m, steps)
+
+
+class TestShallowestChord:
+    def test_matches_scan_over_every_k(self):
+        graphs = 0
+        for g in regular_connected_sweep():
+            assert g.is_regular() and g.is_connected()
+            (prof,) = resolve_profiles([g])
+            s = regular_summary(g, build_minorant(prof))
+            assert astuple(s) == regular_summary_by_scan(g, prof), g.label
+            graphs += 1
+        assert graphs > 300
+
+    def test_c4_squared_tie_keeps_smallest_k(self):
+        # Q4 = C4^2: every (log 2^t, 4 - t) lies on one chord, so the hull is
+        # one segment and the least k on the shallowest chord is 1
+        g = cartesian_product(parse_product_spec("cycle:4^2"))
+        psi = build_minorant(profile_bruteforce(g))
+        s = regular_summary(g, psi)
+        assert [b.k for b in psi.breakpoints] == [1, 16]
+        assert (s.k_star, s.y_intercept) == (1, 4.0)
+        assert s.chord_slope == -4.0 / math.log(16)
