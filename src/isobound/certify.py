@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .allocation import TIGHT_REL_TOL, theorem_bound
 from .graphs import Graph, ProductSpec, cartesian_product
 from .minorants import ConvexMinorant, RegularSummary, build_minorants
-from .profiles import IsoProfile, min_boundary, nested_boundary, resolve_profiles
+from .profiles import IsoProfile, _search_sizes, nested_boundary, resolve_profiles
 
 ALL_K_CAP = 20
 EPS_FLOOR = 1e-12
@@ -95,9 +95,9 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     Truths come from _exact_truth where the factors determine them.  Only when
     some size is left is the product materialized, once and before any search
     (cartesian_product refuses it up front when too large to search), and
-    each distinct j left is searched once, in the order listed, with a budget
-    of its own.  Factor profiles come from resolve_profiles, so family factors
-    of any size use their closed form.
+    the distinct j left are searched in ascending order on one budget, which
+    may refuse sizes that each fit alone.  Factor profiles come from
+    resolve_profiles, so family factors of any size use their closed form.
     """
     m = spec.vertex_count
     if ks is None:
@@ -114,16 +114,15 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
         for k in ks:
             if not 1 <= k <= m:
                 raise ValueError(f"size {k} outside 1..{m}")
-    js = [min(k, m - k) for k in ks]
-    truths = {j: _exact_truth(spec, j) for j in js}  # distinct j, in the order listed
+    truths = {j: _exact_truth(spec, j) for j in (min(k, m - k) for k in ks)}
     searched = [j for j, truth in truths.items() if truth is None]
     product = cartesian_product(spec) if searched else None
     minorants = build_minorants(resolve_profiles(spec.factors))
-    for j in searched:
-        truths[j] = min_boundary(product, j)[0]
+    if searched:
+        truths.update((j, value) for j, (value, _) in _search_sizes(product, searched).items())
     entries = []
-    for k, j in zip(ks, js):
-        truth = truths[j]
+    for k in ks:
+        truth = truths[min(k, m - k)]
         bound = theorem_bound(minorants, size=k).bound_total
         gap = truth - bound
         tight = abs(gap) <= TIGHT_REL_TOL * max(truth, 1.0)

@@ -14,12 +14,19 @@ only skips sets that cannot win, so the reported witness is always the
 lexicographically smallest one and repeated runs are identical.
 
 A child v's per-vertex bounds are a row that depends only on v and n, less
-the parent set's terms 2 |adj u & S|.  Rows are built on first use, and a
-profile keeps one table of them for all its sizes.  Each row is stored with
+the parent set's terms 2 |adj u & S|.  Rows are built on first use and kept
+in one table per call, a root's for later searches.  Each row is stored with
 the sum of its n smallest entries; as the parent's terms are never negative,
 that sum less the parent's terms summed over the whole pool is a lower bound
 on the floor.  This O(1) pre-check skips most children before their floor is
 built, and since it never exceeds the floor, the search tree is unchanged.
+
+One loop, _search_sizes, serves profile_bruteforce, min_boundary and
+verify_theorem.  It searches the sizes up to m/2 in ascending order, each with
+its incumbent one above the boundary of a real set: the last witness, grown
+by the vertex of least boundary increase (the least on a tie) to k vertices.
+The first minimizer in lexicographic order still beats every set before it,
+so values and witnesses are those of an unseeded search.
 
 Work is counted in list elements, not nodes: an element costs 0.03-0.25 us
 (one core of a 2-core Xeon, CPython 3.11) across searches whose node counts
@@ -27,9 +34,9 @@ differ a hundredfold.  Each call of the search charges on entry, in closed
 form, one entry per remaining vertex plus one floor weight per later vertex
 for each child, an upper bound on what it builds; the adjacency masks and row
 tables are charged before they are built.  Past SEARCH_BUDGET the search stops
-with CapExceededError; a profile spends one budget over all its sizes, and
-min_boundary one over its value and complement searches.  The count depends
-only on the graph and k, and it also bounds the rows kept.
+with CapExceededError; one call of the loop spends one budget over all its
+sizes.  The count depends only on the graph and the sizes, which fix the
+seeds, and it also bounds the rows kept.
 
 Two symmetry cuts keep that witness.  On a vertex-transitive graph some
 minimizer holds vertex 0, and sets holding 0 come first, so only the v = 0
@@ -38,18 +45,10 @@ boundary(k) = boundary(m - k), and for two sets of equal size A precedes B
 exactly when B^c precedes A^c, since the least element of their symmetric
 difference lies in the smaller set.  So the canonical witness at a size
 k > m/2 is the complement of the lexicographically last minimizer of size
-m - k.  profile_bruteforce and min_boundary find it by a search at size
-m - k that takes children in descending order, stops at the first leaf
-reaching the boundary already found for m - k, and on a vertex-transitive
-graph leaves vertex 0 out, as the canonical k-witness holds it.
-
-nested_boundary needs no search: on a product of cliques an initial segment
-of lexicographic order is optimal at every size, so its value comes from the
-clique sizes alone, at any product size.
-
-resolve_profiles is the one place that chooses between closed form and
-search: family graphs (Graph.family set) take the closed form, everything else
-is searched, and each distinct graph is solved once.
+m - k.  The loop finds it by a search at size m - k that takes children in
+descending order, stops at the first leaf reaching the boundary already found
+for m - k, and on a vertex-transitive graph leaves vertex 0 out, as the
+canonical k-witness holds it.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, inf, prod
+from math import comb, prod
 
 from .graphs import SEARCH_BUDGET, CapExceededError, Graph, VertexSet, family_entry
 
@@ -94,18 +93,24 @@ def _over_budget(spent: int, k: int, m: int) -> CapExceededError:
     )
 
 
-def _search(g: Graph, k: int, target: int | None = None, spent: int = 0,
-            rows: list | None = None) -> tuple[int, int, int]:
-    """(min boundary, witness mask, units spent) over k-subsets, counting on
-    from `spent` units of work.  Given the boundary at size m - k as target
-    (m/2 < k < m), the witness is the complement of the first (m - k)-set of a
-    descending search to reach it (module docstring).  rows is a profile's
-    row table, shared by its sizes."""
+def _grow(g: Graph, cross: int, mask: int, k: int) -> tuple[int, int]:
+    """(boundary, mask) of the set mask, of boundary cross, grown to k vertices,
+    each step adding the v of least cross + deg v - 2 |adj v & A|, then least v."""
+    deg, adj, vertices = g.degrees, g.adjacency_masks, range(g.vertex_count)
+    for _ in range(mask.bit_count(), k):
+        step, v = min((deg[u] - 2 * (adj[u] & mask).bit_count(), u) for u in vertices if not mask >> u & 1)
+        cross, mask = cross + step, mask | 1 << v
+    return cross, mask
+
+
+def _search(g: Graph, k: int, target: int | None, spent: int, rows: list,
+            seed: tuple[int, int], more: bool) -> tuple[int, int, int]:
+    """(min boundary, witness mask, units spent) over k-subsets, k < m, from
+    `spent` units on: seeded by the (boundary, mask) seed grown to k or, given
+    target = b(m - k) (m/2 < k), by complement search; more: a search follows."""
     m = g.vertex_count
     deg = g.degrees
     full = (1 << m) - 1
-    if k == m:
-        return 0, full, spent
     flip = target is not None
     size = m - k if flip else k  # the size searched
     if size == 1:  # no adjacency masks: they cost O(m^2) bits on a large product
@@ -122,17 +127,13 @@ def _search(g: Graph, k: int, target: int | None = None, spent: int = 0,
     if spent > SEARCH_BUDGET:
         raise _over_budget(spent, k, m)
     adj = g.adjacency_masks
-    best_val = inf if target is None else target + 1
+    best_val = (target if flip else _grow(g, *seed, k)[0]) + 1
     best_mask = 0
     # rows[cap][v] = (r, sum of the cap + 1 smallest of r), r[u - v - 1] =
     # deg u - 2 [u ~ v] - min(|adj u & {v+1..m-1}|, cap) for u > v: the part of
     # a floor weight that no mask changes, built on first use.  The root takes
-    # each v once, so rows at its cap are kept only in a profile's table, where
-    # later sizes reuse them, and not at cap 0, where they are cheap to build:
-    # a k = 2 search of a large graph then holds O(m) rows, not O(m^2).
-    keep = inf if rows is not None and root > 2 else root - 2
-    if rows is None:
-        rows = []
+    # each v once: it keeps its rows only for a later search, never at cap 0
+    # (cheap to rebuild), so a last search or a need-2 root holds O(m) of them.
     rows.extend([None] * m for _ in range(len(rows), root - 1))
 
     def row(v: int, cap: int) -> tuple[list[int], int]:
@@ -146,7 +147,7 @@ def _search(g: Graph, k: int, target: int | None = None, spent: int = 0,
                 if u > v:
                     r[u - v - 1] -= 2
         entry = r, sum(sorted(r)[:cap + 1]) if cap else 0  # need 2 makes no pre-check
-        if cap < keep:
+        if cap < root - 2 or more and cap:
             rows[cap][v] = entry
         return entry
 
@@ -195,36 +196,35 @@ def _search(g: Graph, k: int, target: int | None = None, spent: int = 0,
 
     extend(lo, held, deg[0] if held else 0, root)
     del extend  # ends the closure's cycle, so the rows go now, not at the next gc pass
-    return int(best_val), full ^ best_mask if flip else best_mask, spent
+    return best_val, full ^ best_mask if flip else best_mask, spent
+
+
+def _search_sizes(g: Graph, ks) -> dict[int, tuple[int, int]]:
+    """(min boundary, witness mask) at each size in ks, on one budget and row table."""
+    m = g.vertex_count
+    found, spent, rows, seed = {m: (0, (1 << m) - 1)}, 0, [], (0, 0)
+    # the sizes up to m/2 ascending, each seeded by the last witness; then those above by complement
+    order = sorted({min(k, m - k) for k in ks} - {0}) + sorted({k for k in ks if m - k < k < m})
+    for k in order:
+        target = found[m - k][0] if 2 * k > m else None
+        value, mask, spent = _search(g, k, target, spent, rows, seed, k != order[-1])
+        found[k] = seed = value, mask
+    return {k: found[k] for k in ks}
 
 
 def min_boundary(g: Graph, k: int) -> tuple[int, VertexSet]:
-    """Exact minimum edge boundary over all k-subsets, with canonical witness.
-    A size above m/2 is found as in a profile: a value search at m - k, then
-    the complement search, on one row table and one budget."""
-    m = g.vertex_count
-    if not 1 <= k <= m:
-        raise ValueError(f"size {k} outside 1..{m}")
-    target, spent, rows = None, 0, None
-    if m - k < k < m:
-        rows = []
-        target, _, spent = _search(g, m - k, None, 0, rows)
-    value, mask, _ = _search(g, k, target, spent, rows)
+    """Exact minimum edge boundary over all k-subsets, with canonical witness."""
+    if not 1 <= k <= g.vertex_count:
+        raise ValueError(f"size {k} outside 1..{g.vertex_count}")
+    value, mask = _search_sizes(g, [k])[k]
     return value, VertexSet(mask, k)
 
 
 def profile_bruteforce(g: Graph) -> IsoProfile:
-    """Full profile k = 1..m over one row table; each size above m/2 is found
-    by complement search, with its complement's boundary as target."""
-    m = g.vertex_count
-    entries = []
-    spent = 0
-    rows: list = []
-    for k in range(1, m + 1):
-        target = entries[m - k - 1].min_boundary if m - k < k < m else None
-        value, mask, spent = _search(g, k, target, spent, rows)
-        entries.append(ProfileEntry(k, value, Fraction(value, k), VertexSet(mask, k)))
-    return IsoProfile(m, tuple(entries))
+    """Full profile k = 1..m from one search loop over all sizes."""
+    found = _search_sizes(g, range(1, g.vertex_count + 1))
+    entries = (ProfileEntry(k, v, Fraction(v, k), VertexSet(mask, k)) for k, (v, mask) in found.items())
+    return IsoProfile(g.vertex_count, tuple(entries))
 
 
 def profile_closed_form(family: str, m: int) -> IsoProfile:
@@ -269,8 +269,9 @@ def nested_boundary(sizes, k: int) -> int:
 
 
 def resolve_profiles(graphs, exhaustive: bool = False) -> tuple[IsoProfile, ...]:
-    """One profile per graph, each distinct graph solved once: the closed form
-    for family graphs unless exhaustive, otherwise profile_bruteforce.
+    """The one choice between closed form and search: one profile per graph,
+    each distinct graph solved once, the closed form for family graphs unless
+    exhaustive, otherwise profile_bruteforce.
 
     Contract: equal graphs map to the identical IsoProfile object, so callers
     (build_minorants) can deduplicate by identity without hashing profiles."""

@@ -261,13 +261,13 @@ class TestVerifyCommand:
     def test_size_above_half_searches_its_complement(self, monkeypatch, capsys):
         # b(15) = b(5) on the 20-vertex grid, so the search runs at size 5
         searched = []
-        original = certify.min_boundary
+        original = certify._search_sizes
 
-        def recording(g, k):
-            searched.append(k)
-            return original(g, k)
+        def recording(g, ks):
+            searched.extend(ks)
+            return original(g, ks)
 
-        monkeypatch.setattr(certify, "min_boundary", recording)
+        monkeypatch.setattr(certify, "_search_sizes", recording)
         assert run(["verify", "path:4 x path:5", "--sizes", "15", "--output", "json"]) == 0
         (entry,) = json.loads(capsys.readouterr().out)["entries"]
         assert searched == [5]
@@ -433,7 +433,7 @@ class TestDistinctFactors:
         p = tmp_path / "g.txt"
         p.write_text("13\n" + "".join(f"{v} {v + 1}\n" for v in range(12)) + "0 12\n0 6\n")
         assert run(["bound", f"file:{p}^4", "--size", "100"]) == 0
-        assert searched == [13] * 13  # one profile: sizes k = 1..13 of one graph
+        assert searched == [13] * 12  # one profile: sizes k = 1..12 of one graph; 13 is free
 
     @pytest.mark.parametrize("spec,vertices", [("complete:2^15", 2**15), ("path:13^4", 13**4)])
     def test_family_factors_never_searched(self, spec, vertices, searched, capsys):
@@ -443,7 +443,7 @@ class TestDistinctFactors:
 
     def test_exhaustive_forces_search(self, searched, capsys):
         assert run(["profile", "cycle:6", "--exhaustive"]) == 0
-        assert searched == [6] * 6
+        assert searched == [6] * 5  # sizes 1..5: the whole graph takes no search
 
     def test_repeated_factor_builds_one_minorant(self, monkeypatch, capsys):
         built = []

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,12 @@ from isobound import (
     cartesian_product,
     generate,
     min_boundary,
+    parse_graph,
     parse_product_spec,
     petersen,
     profile_bruteforce,
     profile_closed_form,
+    verify_theorem,
 )
 from isobound import profiles
 from isobound.cli import run
@@ -70,6 +74,30 @@ def random_connected_graph(rng, m):
         if u != v:
             edges.append((u, v))
     return Graph.from_edges(m, edges, label=f"random:{m}")
+
+
+def seed_products():
+    """The thirteen products of the compressed-search study, as pytest params:
+    family products, and products with Petersen or a file factor."""
+    golden = Path(__file__).parent / "golden"
+    prism, g13 = (parse_graph((golden / f"{n}.txt").read_text(), n) for n in ("prism", "g13"))
+    families = ["cycle:5^2", "path:5 x path:6", "cycle:4 x cycle:8", "cycle:3^3", "complete:2^5",
+                "path:3 x cycle:5 x complete:2", "complete:3 x path:7", "cycle:6^2"]
+    pairs = {
+        "petersen x path:3": (petersen(), generate("path", 3)),
+        "cycle:3 x petersen": (generate("cycle", 3), petersen()),
+        "prism x cycle:4": (prism, generate("cycle", 4)),
+        "complete:2 x g13": (generate("complete", 2), g13),
+        "prism x path:5": (prism, generate("path", 5)),
+    }
+    return [pytest.param(cartesian_product(parse_product_spec(s)), id=s) for s in families] + [
+        pytest.param(cartesian_product(ProductSpec(factors)), id=name) for name, factors in pairs.items()
+    ]
+
+
+def unseeded(monkeypatch):
+    """Every later search in the test starts from an infinite incumbent."""
+    monkeypatch.setattr(profiles, "_grow", lambda g, cross, mask, k: (math.inf, mask))
 
 
 class TestClosedFormAgainstBruteForce:
@@ -284,6 +312,50 @@ class TestSymmetryCuts:
         assert "adjacency_masks" not in g.__dict__
 
 
+class TestSeed:
+    """Each size up to m/2 starts its incumbent one above the boundary of the
+    last witness grown to k; values and witnesses are those of an unseeded
+    search."""
+
+    @pytest.mark.parametrize("g", seed_products())
+    def test_matches_unseeded_search(self, g, monkeypatch):
+        # sizes above 10 of the 27-36-vertex products take 1-5 s each; the
+        # sizes above m/2 are their complements'
+        m = g.vertex_count
+        ks = range(1, (m // 2 if m <= 26 else 10) + 1)
+        seeded = profiles._search_sizes(g, ks)
+        unseeded(monkeypatch)
+        assert profiles._search_sizes(g, ks) == seeded
+
+    @pytest.mark.parametrize("g", [
+        pytest.param(petersen(), id="petersen"),
+        *(pytest.param(random_connected_graph(random.Random(700 + m), m), id=f"random:{m}") for m in range(8, 17, 2)),
+    ])
+    def test_matches_enumeration(self, g, monkeypatch):
+        expected = by_enumeration(g)
+        assert searched(g) == expected
+        unseeded(monkeypatch)
+        assert searched(g) == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(random_graphs(), st.data())
+    def test_grown_set_is_real(self, g, data):
+        # U is the recounted boundary of the grown set, and each step takes the
+        # least (boundary after the step, vertex), recounted
+        m = g.vertex_count
+        seed = data.draw(st.integers(0, (1 << m) - 1))
+        k = data.draw(st.integers(seed.bit_count(), m))
+        inside = set(VertexSet(seed, seed.bit_count()).members())
+        value, mask = profiles._grow(g, boundary_by_recount(g, inside), seed, k)
+        members = VertexSet(mask, k).members()
+        assert mask & seed == seed and mask.bit_count() == k
+        assert boundary_by_recount(g, members) == value
+        while len(inside) < k:
+            _, v = min((boundary_by_recount(g, inside | {u}), u) for u in range(m) if u not in inside)
+            inside.add(v)
+        assert tuple(sorted(inside)) == members
+
+
 class TestCaps:
     """The search budget counts work, not vertices."""
 
@@ -328,6 +400,16 @@ class TestCaps:
         with pytest.raises(CapExceededError, match="size 6 on 9 vertices charged 423") as refusal:
             profile_bruteforce(g)
         assert "size 3" not in str(refusal.value)
+
+    def test_verify_spends_one_budget(self, monkeypatch):
+        # sizes 3, 4 and 5 each fit in 1000 units alone; together they run out
+        # in size 5, searched last although listed first
+        spec = parse_product_spec("path:3 x cycle:4")
+        monkeypatch.setattr(profiles, "SEARCH_BUDGET", 1000)
+        for k in (3, 4, 5):
+            verify_theorem(spec, [k])
+        with pytest.raises(CapExceededError, match="size 5 on 12 vertices charged 1020 units"):
+            verify_theorem(spec, [5, 3, 4])
 
 
 class TestProfileContainer:
