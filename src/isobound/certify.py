@@ -35,11 +35,10 @@ import sys
 from dataclasses import dataclass
 
 from .allocation import TIGHT_REL_TOL, theorem_bound
-from .graphs import Graph, ProductSpec, cartesian_product
+from .graphs import SEARCH_BUDGET, CapExceededError, Graph, ProductSpec, cartesian_product
 from .minorants import ConvexMinorant, RegularSummary, build_minorants
 from .profiles import IsoProfile, _search_sizes, nested_boundary, resolve_profiles
 
-ALL_K_CAP = 20
 EPS_FLOOR = 1e-12
 T_MAX = 10**6  # q72_certificate tries t <= T_MAX
 
@@ -90,36 +89,36 @@ def _exact_truth(spec: ProductSpec, j: int) -> int | None:
 def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     """Exact truth vs allocation bound at each size of a product.
 
-    With ks=None every size is checked, which requires at most ALL_K_CAP
-    vertices.  Size k is read through j = min(k, m - k), as b(k) = b(m - k).
-    Truths come from _exact_truth where the factors determine them.  Only when
-    some size is left is the product materialized, once and before any search
+    With ks=None every size is checked.  Each reported size is charged one
+    unit, and a report over SEARCH_BUDGET is refused before anything runs.
+    Size k is read through j = min(k, m - k), as b(k) = b(m - k).  Truths come
+    from _exact_truth where the factors determine them.  Only when some size is
+    left is the product materialized, once and before any search
     (cartesian_product refuses it up front when too large to search), and
-    the distinct j left are searched in ascending order on one budget, which
-    may refuse sizes that each fit alone.  Factor profiles come from
-    resolve_profiles, so family factors of any size use their closed form.
+    _search_sizes finds the values left on one budget, which may refuse sizes
+    that each fit alone; a refusal names the size asked.  Factor profiles come
+    from resolve_profiles, so family factors of any size use their closed form.
     """
     m = spec.vertex_count
+    ks = None if ks is None else tuple(ks)
+    if (count := m if ks is None else len(ks)) > SEARCH_BUDGET:
+        raise CapExceededError(
+            f"verification of {count} sizes charges one unit of work per size,"
+            f" over the budget of {SEARCH_BUDGET}"
+        )
     if ks is None:
-        if m > ALL_K_CAP:
-            raise ValueError(
-                f"all-size verification needs at most {ALL_K_CAP} vertices, got {m};"
-                f" pass an explicit size list"
-            )
         ks = range(1, m + 1)
-    else:
-        ks = tuple(ks)
-        if not ks:
-            raise ValueError("no sizes to verify")
-        for k in ks:
-            if not 1 <= k <= m:
-                raise ValueError(f"size {k} outside 1..{m}")
+    elif not ks:
+        raise ValueError("no sizes to verify")
+    elif (bad := next((k for k in ks if not 1 <= k <= m), None)) is not None:
+        raise ValueError(f"size {bad} outside 1..{m}")
     truths = {j: _exact_truth(spec, j) for j in (min(k, m - k) for k in ks)}
-    searched = [j for j, truth in truths.items() if truth is None]
+    searched = [k for k in ks if truths[min(k, m - k)] is None]
     product = cartesian_product(spec) if searched else None
     minorants = build_minorants(resolve_profiles(spec.factors))
     if searched:
-        truths.update((j, value) for j, (value, _) in _search_sizes(product, searched).items())
+        found = _search_sizes(product, searched, canonical=False)
+        truths.update((min(k, m - k), value) for k, (value, _) in found.items())
     entries = []
     for k in ks:
         truth = truths[min(k, m - k)]

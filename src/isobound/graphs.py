@@ -9,6 +9,10 @@ everything else (products, files, petersen).  It is the only way the rest of
 the package recognizes a named family: labels are for display.  FAMILIES is
 the one table of named families, their minimum sizes, edges, known minimum
 edge boundaries and vertex-transitivity (set at construction, never detected).
+A family's first j vertices make an optimal j-set at every j, so a product
+built here sets Graph.down[v] to the bits of v - stride_i for each family
+factor i where v's coordinate c_i > 0, and its profile search keeps to sets
+that are down-sets along those coordinates (profiles module docstring).
 
 SEARCH_BUDGET, counted in the list elements a profile search builds, is the
 one size limit: a product is refused here, unbuilt, when a search of it could
@@ -43,6 +47,7 @@ class Graph:
     label: str = "graph"
     family: tuple[str, int] | None = None  # (name, m) when built by generate
     vertex_transitive: bool = False  # set at construction, never detected
+    down: tuple[int, ...] = ()  # set by cartesian_product, () if no factor is a family
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges, label: str = "graph") -> "Graph":
@@ -296,13 +301,17 @@ def cartesian_product(spec: ProductSpec) -> Graph:
         return factors[0]
     sizes = [f.vertex_count for f in factors]
     strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]  # index = sum c_i * strides[i]
-    adjacency = []
+    adjacency, down = [], []
     for idx, coords in enumerate(itertools.product(*(range(m) for m in sizes))):
-        ns = []
-        for i, (g, stride) in enumerate(zip(factors, strides)):
-            base = idx - coords[i] * stride
-            for u in g.adjacency[coords[i]]:
+        ns, below = [], 0
+        for g, stride, c in zip(factors, strides, coords):
+            base = idx - c * stride
+            for u in g.adjacency[c]:
                 ns.append(base + u * stride)
+            if c and g.family is not None:
+                below |= 1 << idx - stride
         adjacency.append(tuple(sorted(ns)))
+        down.append(below)
     transitive = all(f.vertex_transitive for f in factors)  # Aut(G) x Aut(H) acts transitively
-    return Graph(total, tuple(adjacency), label=spec.label(), vertex_transitive=transitive)
+    down = tuple(down) if any(f.family for f in factors) else ()  # () when no factor adds a bit
+    return Graph(total, tuple(adjacency), spec.label(), vertex_transitive=transitive, down=down)

@@ -49,11 +49,27 @@ m - k.  The loop finds it by a search at size m - k that takes children in
 descending order, stops at the first leaf reaching the boundary already found
 for m - k, and on a vertex-transitive graph leaves vertex 0 out, as the
 canonical k-witness holds it.
+
+Compression (Bollobas and Leader, Combinatorica 11, 1991) cuts the search of
+a product.  A family's first j vertices are optimal at every j and nested, so
+replacing each fibre of a set along a family coordinate by the prefix of its
+size leaves the boundary no larger: the edges inside a fibre fall to the
+family's minimum, those between two fibres to the difference of their sizes.
+Each member moves to a member no larger, one to one, so the new set comes no
+later in lexicographic order, and the canonical witness is a down-set along
+every family coordinate.  With g.down (graphs.cartesian_product), a forward
+search takes a child v only when down[v] lies inside the set.  A complement
+search, whose set is the witness's complement, takes no child past the first
+w whose down[w] meets the set, as leaving w out would keep w - stride_i in.
+A prefix of a down-set is a down-set, so the canonical witness is still met;
+the last vertex is left free, which only adds real sets.  Each node is
+charged as before, eligible children or not.  --exhaustive searches without
+compression, as it exists to check results by plain search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, prod
@@ -104,10 +120,11 @@ def _grow(g: Graph, cross: int, mask: int, k: int) -> tuple[int, int]:
 
 
 def _search(g: Graph, k: int, target: int | None, spent: int, rows: list,
-            seed: tuple[int, int], more: bool) -> tuple[int, int, int]:
+            seed: tuple[int, int], more: bool, asked: int) -> tuple[int, int, int]:
     """(min boundary, witness mask, units spent) over k-subsets, k < m, from
     `spent` units on: seeded by the (boundary, mask) seed grown to k or, given
-    target = b(m - k) (m/2 < k), by complement search; more: a search follows."""
+    target = b(m - k) (m/2 < k), by complement search; more: a search follows;
+    a refusal names the size asked."""
     m = g.vertex_count
     deg = g.degrees
     full = (1 << m) - 1
@@ -125,8 +142,8 @@ def _search(g: Graph, k: int, target: int | None, spent: int, rows: list,
     # masks (about m^2 / 2 bits) and row tables, charged before they are built
     spent += m * (m - 1) // 2 + m * (root - 1)
     if spent > SEARCH_BUDGET:
-        raise _over_budget(spent, k, m)
-    adj = g.adjacency_masks
+        raise _over_budget(spent, asked, m)
+    adj, down = g.adjacency_masks, g.down
     best_val = (target if flip else _grow(g, *seed, k)[0]) + 1
     best_mask = 0
     # rows[cap][v] = (r, sum of the cap + 1 smallest of r), r[u - v - 1] =
@@ -169,7 +186,7 @@ def _search(g: Graph, k: int, target: int | None, spent: int, rows: list,
         rest = m - lo
         spent += 2 * rest if need == 1 else rest + (rest * (rest - 1) - (need - 1) * (need - 2)) // 2
         if spent > SEARCH_BUDGET:
-            raise _over_budget(spent, k, m)
+            raise _over_budget(spent, asked, m)
         into = [2 * (a & mask).bit_count() for a in adj[lo:]]  # 2 |adj u & mask| at u - lo
         if need == 1:
             return last(lo, mask, cross, [d - i for d, i in zip(deg[lo:], into)])
@@ -181,6 +198,11 @@ def _search(g: Graph, k: int, target: int | None, spent: int, rows: list,
             into_head = list(accumulate(into))
             into_all = into_head[-1]
         children = range(lo, m - need + 1)
+        if down:  # compression (module docstring): one test per node, none on a plain graph
+            if flip:  # a skipped w above a chosen w - stride_i ends the children
+                children = range(lo, next((w for w in children if down[w] & mask), children[-1]) + 1)
+            else:
+                children = [v for v in children if not down[v] & ~mask]
         for v in reversed(children) if flip else children:
             new_cross = cross + deg[v] - into[v - lo]
             r, least = table[v] or row(v, cap)
@@ -199,17 +221,21 @@ def _search(g: Graph, k: int, target: int | None, spent: int, rows: list,
     return best_val, full ^ best_mask if flip else best_mask, spent
 
 
-def _search_sizes(g: Graph, ks) -> dict[int, tuple[int, int]]:
-    """(min boundary, witness mask) at each size in ks, on one budget and row table."""
+def _search_sizes(g: Graph, ks, canonical: bool = True) -> dict[int, tuple[int, int]]:
+    """(min boundary, witness mask) at each size in ks, on one budget and row
+    table; a refusal names the size asked.  Not canonical, a size k above m/2
+    takes the complement of m - k's witness: a minimizer, not always the least."""
     m = g.vertex_count
-    found, spent, rows, seed = {m: (0, (1 << m) - 1)}, 0, [], (0, 0)
+    full = (1 << m) - 1
+    found, spent, rows, seed = {m: (0, full)}, 0, [], (0, 0)
+    asked = {min(k, m - k): k for k in sorted(ks, reverse=True)}  # j if asked, else m - j
     # the sizes up to m/2 ascending, each seeded by the last witness; then those above by complement
-    order = sorted({min(k, m - k) for k in ks} - {0}) + sorted({k for k in ks if m - k < k < m})
+    order = sorted(asked.keys() - {0}) + sorted({k for k in ks if m - k < k < m} if canonical else ())
     for k in order:
         target = found[m - k][0] if 2 * k > m else None
-        value, mask, spent = _search(g, k, target, spent, rows, seed, k != order[-1])
+        value, mask, spent = _search(g, k, target, spent, rows, seed, k != order[-1], asked.get(k, k))
         found[k] = seed = value, mask
-    return {k: found[k] for k in ks}
+    return {k: found[k] if k in found else (found[m - k][0], full ^ found[m - k][1]) for k in ks}
 
 
 def min_boundary(g: Graph, k: int) -> tuple[int, VertexSet]:
@@ -271,7 +297,7 @@ def nested_boundary(sizes, k: int) -> int:
 def resolve_profiles(graphs, exhaustive: bool = False) -> tuple[IsoProfile, ...]:
     """The one choice between closed form and search: one profile per graph,
     each distinct graph solved once, the closed form for family graphs unless
-    exhaustive, otherwise profile_bruteforce.
+    exhaustive, otherwise profile_bruteforce, uncompressed when exhaustive.
 
     Contract: equal graphs map to the identical IsoProfile object, so callers
     (build_minorants) can deduplicate by identity without hashing profiles."""
@@ -283,5 +309,5 @@ def resolve_profiles(graphs, exhaustive: bool = False) -> tuple[IsoProfile, ...]
             if g.family is not None and not exhaustive:
                 solved[key] = profile_closed_form(*g.family)
             else:
-                solved[key] = profile_bruteforce(g)
+                solved[key] = profile_bruteforce(replace(g, down=()) if exhaustive else g)
     return tuple(solved[key] for key in keys)

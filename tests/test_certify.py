@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import boundary_by_recount, first_dirichlet_pair_by_scan, product_vertex_set
 
 from isobound import (
+    CapExceededError,
     Graph,
     ProductSpec,
     SlabsOptimalError,
@@ -85,9 +86,12 @@ class TestVerifyTheorem:
         assert len(report.entries) == 4
         assert report.entries[3].true_min_boundary == 0
 
-    def test_all_sizes_needs_small_product(self):
-        with pytest.raises(ValueError, match="at most 20"):
-            verify_theorem(parse_product_spec("cycle:21"))
+    def test_all_sizes_charge_one_unit_each(self):
+        # 21 sizes fit the budget; 2^60 are refused before anything runs
+        report = verify_theorem(parse_product_spec("cycle:21"))
+        assert report.ok and [e.k for e in report.entries] == list(range(1, 22))
+        with pytest.raises(CapExceededError, match=f"verification of {2**60} sizes"):
+            verify_theorem(parse_product_spec("complete:2^60"))
 
     def test_sampled_size_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):

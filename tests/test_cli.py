@@ -261,13 +261,13 @@ class TestVerifyCommand:
     def test_size_above_half_searches_its_complement(self, monkeypatch, capsys):
         # b(15) = b(5) on the 20-vertex grid, so the search runs at size 5
         searched = []
-        original = certify._search_sizes
+        original = profiles._search
 
-        def recording(g, ks):
-            searched.extend(ks)
-            return original(g, ks)
+        def recording(g, k, *rest):
+            searched.append(k)
+            return original(g, k, *rest)
 
-        monkeypatch.setattr(certify, "_search_sizes", recording)
+        monkeypatch.setattr(profiles, "_search", recording)
         assert run(["verify", "path:4 x path:5", "--sizes", "15", "--output", "json"]) == 0
         (entry,) = json.loads(capsys.readouterr().out)["entries"]
         assert searched == [5]
@@ -333,10 +333,21 @@ class TestVerifyWithoutProduct:
         assert [e["true_min_boundary"] for e in doc["entries"]] == truths
         assert doc["ok"] is True
 
-    @pytest.mark.parametrize("spec", ["complete:2^60", "cycle:5^9"])
-    def test_all_sizes_refused_before_building(self, spec, no_product, capsys):
+    @pytest.mark.parametrize("spec,m", [("complete:2^60", 2**60), ("cycle:5^11", 5**11)],
+                             ids=["complete:2^60", "cycle:5^11"])
+    def test_all_sizes_refused_before_building(self, spec, m, no_product, capsys):
+        # one unit per reported size: m sizes are over the budget
         assert run(["verify", spec]) == 2
-        assert "all-size verification needs at most 20 vertices" in capsys.readouterr().err
+        assert f"verification of {m} sizes charges one unit of work per size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,m", [("path:3 x path:7", 21), ("complete:2^10", 1024)],
+                             ids=["path:3 x path:7", "complete:2^10"])
+    def test_all_sizes_past_twenty_vertices(self, spec, m, capsys):
+        # a 21-vertex search and a clique product that needs none
+        assert run(["verify", spec, "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [e["k"] for e in doc["entries"]] == list(range(1, m + 1))
+        assert doc["ok"] is True
 
     def test_search_still_refused_above_cap(self, capsys):
         assert run(["verify", "path:13^6", "--sizes", "2"]) == 2

@@ -73,7 +73,7 @@ ERRORS = [
     ("err_out_of_range", ["bound", "path:3", "--size", "4"], 2),
     ("err_compare_heterogeneous", ["compare", "path:3 x cycle:4"], 2),
     ("err_compare_small", ["compare", "path:2^2"], 2),
-    ("err_verify_all_sizes", ["verify", "cycle:21"], 2),
+    ("err_verify_all_sizes", ["verify", "complete:2^60"], 2),
     ("err_search_cap", ["profile", "file:g13.txt^2"], 2),
     ("err_search_budget", ["verify", "path:70^2", "--sizes", "3"], 2),
     ("err_q71_single_piece", ["certify-q71", "complete:4", "--power", "2"], 2),

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,9 +205,10 @@ class TestMinBoundary:
         assert [(value, w.members()) for value, w in got] == by_enumeration(g)
 
     def test_large_size_takes_its_complement(self, monkeypatch):
-        # a forward search at 22 on Q5 charges 6.9 million units; the value
-        # search at 10 and the complement search, 0.88 million together
-        q5 = cartesian_product(parse_product_spec("complete:2^5"))
+        # uncompressed, a forward search at 22 on Q5 charges 6.9 million
+        # units; the value search at 10 and the complement search, 0.88
+        # million together (compressed: 81 thousand against 32 thousand)
+        q5 = replace(cartesian_product(parse_product_spec("complete:2^5")), down=())
         monkeypatch.setattr(profiles, "SEARCH_BUDGET", 10**6)
         value, witness = min_boundary(q5, 22)
         assert value == nested_boundary([2] * 5, 22) == 20
@@ -319,10 +322,9 @@ class TestSeed:
 
     @pytest.mark.parametrize("g", seed_products())
     def test_matches_unseeded_search(self, g, monkeypatch):
-        # sizes above 10 of the 27-36-vertex products take 1-5 s each; the
-        # sizes above m/2 are their complements'
-        m = g.vertex_count
-        ks = range(1, (m // 2 if m <= 26 else 10) + 1)
+        # every size up to m/2, which compression makes cheap (at most 0.3 s
+        # a product); the sizes above m/2 are their complements'
+        ks = range(1, g.vertex_count // 2 + 1)
         seeded = profiles._search_sizes(g, ks)
         unseeded(monkeypatch)
         assert profiles._search_sizes(g, ks) == seeded
@@ -354,6 +356,104 @@ class TestSeed:
             _, v = min((boundary_by_recount(g, inside | {u}), u) for u in range(m) if u not in inside)
             inside.add(v)
         assert tuple(sorted(inside)) == members
+
+
+def plain_answers(g):
+    """{k: (boundary, witness mask)} at every size the uncompressed search of g
+    answers before its one budget runs out."""
+    answered = {}
+    original = profiles._search
+
+    def recording(g, k, *rest):
+        value, mask, spent = original(g, k, *rest)
+        answered[k] = value, mask
+        return value, mask, spent
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(profiles, "_search", recording)
+        try:
+            return profiles._search_sizes(replace(g, down=()), range(1, g.vertex_count + 1))
+        except CapExceededError:
+            return answered
+
+
+def file_x_family_products():
+    """Seeded random file factors of 3-7 vertices times a family factor, in
+    both orders, and one with a family factor on each side."""
+    out = []
+    for seed in range(8):
+        rng = random.Random(900 + seed)
+        file = random_connected_graph(rng, rng.randint(3, 7))
+        name = ("path", "cycle", "complete")[seed % 3]
+        fam = generate(name, rng.randint(3, 4))
+        factors = (file, fam) if seed % 2 else (fam, file)
+        if seed == 7:
+            factors = (generate("path", 2), file, generate("cycle", 3))
+        label = " x ".join(f.label for f in factors)
+        out.append(pytest.param(cartesian_product(ProductSpec(factors)), id=f"{seed}:{label}"))
+    return out
+
+
+class TestCompression:
+    """Product searches keep to down-sets along family coordinates and still
+    give the values and canonical witnesses of the plain search."""
+
+    def test_down_masks(self):
+        # prism x path:3: only the path coordinate, stride 1, adds bits
+        prism = parse_graph((Path(__file__).parent / "golden" / "prism.txt").read_text(), "prism")
+        g = cartesian_product(ProductSpec((prism, generate("path", 3))))
+        assert g.down == tuple(1 << v - 1 if v % 3 else 0 for v in range(18))
+        # path:2 x petersen x cycle:3: strides 30 and 1; Petersen adds none
+        g = cartesian_product(ProductSpec((generate("path", 2), petersen(), generate("cycle", 3))))
+        assert g.down == tuple((1 << v - 30 if v >= 30 else 0) | (1 << v - 1 if v % 3 else 0) for v in range(60))
+        assert cartesian_product(ProductSpec((prism, petersen()))).down == ()
+        assert generate("path", 5).down == () and petersen().down == ()
+        assert cartesian_product(parse_product_spec("cycle:4")).down == ()
+
+    @pytest.mark.parametrize("g", seed_products())
+    def test_matches_plain_search(self, g):
+        # the plain search of cycle:6^2 runs out at size 15, so it answers 1-14
+        plain = plain_answers(g)
+        compressed = profiles._search_sizes(g, range(1, g.vertex_count + 1))
+        assert {k: compressed[k] for k in plain} == plain
+        assert len(plain) >= min(g.vertex_count, 14)
+
+    @pytest.mark.parametrize("g", file_x_family_products())
+    def test_matches_plain_on_file_factors(self, g):
+        plain = plain_answers(g)
+        assert len(plain) == g.vertex_count
+        assert profiles._search_sizes(g, range(1, g.vertex_count + 1)) == plain
+
+    def test_exhaustive_searches_uncompressed(self, monkeypatch, capsys):
+        downs = []
+        original = profiles._search
+
+        def recording(g, *rest):
+            downs.append(g.down)
+            return original(g, *rest)
+
+        monkeypatch.setattr(profiles, "_search", recording)
+        assert run(["profile", "path:3 x cycle:4", "--exhaustive", "--output", "json"]) == 0
+        exhaustive = capsys.readouterr().out
+        assert downs and not any(downs)
+        downs.clear()
+        assert run(["profile", "path:3 x cycle:4", "--output", "json"]) == 0
+        assert capsys.readouterr().out == exhaustive
+        assert downs and all(downs)
+
+    @pytest.mark.parametrize("spec,m,half", [("cycle:6^2", 36, 12), ("cycle:6 x cycle:7", 42, 14)])
+    def test_refused_profiles_answer(self, spec, m, half, capsys):
+        # refused by the budget before compression; half the torus is a band
+        # of three rows, whose two cuts each cross every column
+        assert run(["profile", spec, "--output", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["profile"]
+        assert [r["k"] for r in rows] == list(range(1, m + 1))
+        assert rows[m // 2 - 1]["min_boundary"] == half
+        g = cartesian_product(parse_product_spec(spec))
+        for r in rows:
+            members = VertexSet.from_hex(r["witness"]).members()
+            assert len(members) == r["k"]
+            assert boundary_by_recount(g, members) == r["min_boundary"]
 
 
 class TestCaps:
@@ -402,14 +502,24 @@ class TestCaps:
         assert "size 3" not in str(refusal.value)
 
     def test_verify_spends_one_budget(self, monkeypatch):
-        # sizes 3, 4 and 5 each fit in 1000 units alone; together they run out
-        # in size 5, searched last although listed first
+        # sizes 3, 4 and 5 each fit in 900 units alone (233, 297 and 403);
+        # together they run out in size 5, searched last although listed first
         spec = parse_product_spec("path:3 x cycle:4")
-        monkeypatch.setattr(profiles, "SEARCH_BUDGET", 1000)
+        monkeypatch.setattr(profiles, "SEARCH_BUDGET", 900)
         for k in (3, 4, 5):
             verify_theorem(spec, [k])
-        with pytest.raises(CapExceededError, match="size 5 on 12 vertices charged 1020 units"):
+        with pytest.raises(CapExceededError, match="size 5 on 12 vertices charged 906 units"):
             verify_theorem(spec, [5, 3, 4])
+
+    def test_verify_refusal_names_the_size_asked(self, monkeypatch):
+        # size 15 is read at 5 = 20 - 15; the refusal names 15 unless 5 is asked too
+        spec = parse_product_spec("path:4 x path:5")
+        monkeypatch.setattr(profiles, "SEARCH_BUDGET", 1000)
+        with pytest.raises(CapExceededError, match="size 15 on 20 vertices charged 1089 units") as refusal:
+            verify_theorem(spec, [15])
+        assert "size 5 " not in str(refusal.value)
+        with pytest.raises(CapExceededError, match="size 5 on 20 vertices"):
+            verify_theorem(spec, [15, 5])
 
 
 class TestProfileContainer:
