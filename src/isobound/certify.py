@@ -39,6 +39,7 @@ from .graphs import SEARCH_BUDGET, CapExceededError, Graph, ProductSpec, cartesi
 from .minorants import ConvexMinorant, RegularSummary, build_minorants
 from .profiles import IsoProfile, _search_sizes, nested_boundary, resolve_profiles
 
+SIZE_UNITS = 1000  # budget units per reported size: 60-70 us each, 2-core Xeon, CPython 3.11
 EPS_FLOOR = 1e-12
 T_MAX = 10**6  # q72_certificate tries t <= T_MAX
 
@@ -89,22 +90,24 @@ def _exact_truth(spec: ProductSpec, j: int) -> int | None:
 def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     """Exact truth vs allocation bound at each size of a product.
 
-    With ks=None every size is checked.  Each reported size is charged one
-    unit, and a report over SEARCH_BUDGET is refused before anything runs.
-    Size k is read through j = min(k, m - k), as b(k) = b(m - k).  Truths come
-    from _exact_truth where the factors determine them.  Only when some size is
-    left is the product materialized, once and before any search
-    (cartesian_product refuses it up front when too large to search), and
-    _search_sizes finds the values left on one budget, which may refuse sizes
-    that each fit alone; a refusal names the size asked.  Factor profiles come
-    from resolve_profiles, so family factors of any size use their closed form.
+    With ks=None every size is checked.  Each reported size is charged
+    SIZE_UNITS, its cost in budget units, and a report over SEARCH_BUDGET is
+    refused before anything runs.  Size k is read through j = min(k, m - k),
+    as b(k) = b(m - k).  Truths come from _exact_truth where the factors
+    determine them.  Only when some size is left is the product materialized,
+    once and before any search (cartesian_product refuses it up front when too
+    large to search), and _search_sizes finds the values left on one budget,
+    which may refuse sizes that each fit alone; a refusal names the size asked.
+    Factor profiles come from resolve_profiles, so family factors of any size
+    use their closed form.
     """
     m = spec.vertex_count
     ks = None if ks is None else tuple(ks)
-    if (count := m if ks is None else len(ks)) > SEARCH_BUDGET:
+    count = m if ks is None else len(ks)
+    if count * SIZE_UNITS > SEARCH_BUDGET:
         raise CapExceededError(
-            f"verification of {count} sizes charges one unit of work per size,"
-            f" over the budget of {SEARCH_BUDGET}"
+            f"verification of {count} sizes charges {count * SIZE_UNITS} units of work"
+            f" ({SIZE_UNITS} per size), over the budget of {SEARCH_BUDGET}"
         )
     if ks is None:
         ks = range(1, m + 1)
@@ -113,12 +116,11 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     elif (bad := next((k for k in ks if not 1 <= k <= m), None)) is not None:
         raise ValueError(f"size {bad} outside 1..{m}")
     truths = {j: _exact_truth(spec, j) for j in (min(k, m - k) for k in ks)}
-    searched = [k for k in ks if truths[min(k, m - k)] is None]
-    product = cartesian_product(spec) if searched else None
+    names = {min(k, m - k): k for k in ks if truths[min(k, m - k)] is None}  # j searched: k asked
+    product = cartesian_product(spec) if names else None
     minorants = build_minorants(resolve_profiles(spec.factors))
-    if searched:
-        found = _search_sizes(product, searched, canonical=False)
-        truths.update((min(k, m - k), value) for k, (value, _) in found.items())
+    if names:
+        truths.update((j, value) for j, (value, _) in _search_sizes(product, list(names), names).items())
     entries = []
     for k in ks:
         truth = truths[min(k, m - k)]

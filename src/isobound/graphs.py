@@ -9,10 +9,6 @@ everything else (products, files, petersen).  It is the only way the rest of
 the package recognizes a named family: labels are for display.  FAMILIES is
 the one table of named families, their minimum sizes, edges, known minimum
 edge boundaries and vertex-transitivity (set at construction, never detected).
-A family's first j vertices make an optimal j-set at every j, so a product
-built here sets Graph.down[v] to the bits of v - stride_i for each family
-factor i where v's coordinate c_i > 0, and its profile search keeps to sets
-that are down-sets along those coordinates (profiles module docstring).
 
 SEARCH_BUDGET, counted in the list elements a profile search builds, is the
 one size limit: a product is refused here, unbuilt, when a search of it could
@@ -47,7 +43,9 @@ class Graph:
     label: str = "graph"
     family: tuple[str, int] | None = None  # (name, m) when built by generate
     vertex_transitive: bool = False  # set at construction, never detected
-    down: tuple[int, ...] = ()  # set by cartesian_product, () if no factor is a family
+    # down[v]: the bit of v - stride_i for each family coordinate i of a product
+    # where v's coordinate is positive; () otherwise (profiles: compression)
+    down: tuple[int, ...] = ()
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges, label: str = "graph") -> "Graph":

@@ -53,18 +53,16 @@ canonical k-witness holds it.
 Compression (Bollobas and Leader, Combinatorica 11, 1991) cuts the search of
 a product.  A family's first j vertices are optimal at every j and nested, so
 replacing each fibre of a set along a family coordinate by the prefix of its
-size leaves the boundary no larger: the edges inside a fibre fall to the
-family's minimum, those between two fibres to the difference of their sizes.
-Each member moves to a member no larger, one to one, so the new set comes no
-later in lexicographic order, and the canonical witness is a down-set along
-every family coordinate.  With g.down (graphs.cartesian_product), a forward
-search takes a child v only when down[v] lies inside the set.  A complement
-search, whose set is the witness's complement, takes no child past the first
-w whose down[w] meets the set, as leaving w out would keep w - stride_i in.
-A prefix of a down-set is a down-set, so the canonical witness is still met;
-the last vertex is left free, which only adds real sets.  Each node is
-charged as before, eligible children or not.  --exhaustive searches without
-compression, as it exists to check results by plain search.
+size leaves the boundary no larger (edges inside a fibre fall to the family's
+minimum, those between two fibres to the difference of their sizes).  It moves
+each member to one no larger, one to one, so the new set comes no later in
+lexicographic order, and the canonical witness is a down-set along every
+family coordinate.  With g.down (graphs.cartesian_product), a forward search
+takes a child v only when down[v] lies inside the set; a complement search,
+whose set is the witness's complement, takes no child past the first w whose
+down[w] meets the set (w is the last), as leaving w out would keep
+w - stride_i in.  A prefix of a down-set is a down-set, so the canonical
+witness is still met, and nodes are charged as before.
 """
 
 from __future__ import annotations
@@ -221,21 +219,20 @@ def _search(g: Graph, k: int, target: int | None, spent: int, rows: list,
     return best_val, full ^ best_mask if flip else best_mask, spent
 
 
-def _search_sizes(g: Graph, ks, canonical: bool = True) -> dict[int, tuple[int, int]]:
+def _search_sizes(g: Graph, ks, names=None) -> dict[int, tuple[int, int]]:
     """(min boundary, witness mask) at each size in ks, on one budget and row
-    table; a refusal names the size asked.  Not canonical, a size k above m/2
-    takes the complement of m - k's witness: a minimizer, not always the least."""
+    table; a refusal at size k names names[k] if given (verify_theorem's size
+    m - k), else k."""
     m = g.vertex_count
-    full = (1 << m) - 1
-    found, spent, rows, seed = {m: (0, full)}, 0, [], (0, 0)
-    asked = {min(k, m - k): k for k in sorted(ks, reverse=True)}  # j if asked, else m - j
+    found, spent, rows, seed = {m: (0, (1 << m) - 1)}, 0, [], (0, 0)
+    names = names or {}
     # the sizes up to m/2 ascending, each seeded by the last witness; then those above by complement
-    order = sorted(asked.keys() - {0}) + sorted({k for k in ks if m - k < k < m} if canonical else ())
+    order = sorted({min(k, m - k) for k in ks} - {0}) + sorted({k for k in ks if m - k < k < m})
     for k in order:
         target = found[m - k][0] if 2 * k > m else None
-        value, mask, spent = _search(g, k, target, spent, rows, seed, k != order[-1], asked.get(k, k))
+        value, mask, spent = _search(g, k, target, spent, rows, seed, k != order[-1], names.get(k, k))
         found[k] = seed = value, mask
-    return {k: found[k] if k in found else (found[m - k][0], full ^ found[m - k][1]) for k in ks}
+    return {k: found[k] for k in ks}
 
 
 def min_boundary(g: Graph, k: int) -> tuple[int, VertexSet]:

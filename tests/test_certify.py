@@ -86,12 +86,12 @@ class TestVerifyTheorem:
         assert len(report.entries) == 4
         assert report.entries[3].true_min_boundary == 0
 
-    def test_all_sizes_charge_one_unit_each(self):
-        # 21 sizes fit the budget; 2^60 are refused before anything runs
+    def test_all_sizes_needs_small_product(self):
+        # 1000 units per size: 21 sizes fit the budget, 2^15 are refused before anything runs
         report = verify_theorem(parse_product_spec("cycle:21"))
         assert report.ok and [e.k for e in report.entries] == list(range(1, 22))
-        with pytest.raises(CapExceededError, match=f"verification of {2**60} sizes"):
-            verify_theorem(parse_product_spec("complete:2^60"))
+        with pytest.raises(CapExceededError, match=f"verification of {2**15} sizes charges {2**15 * 1000} units"):
+            verify_theorem(parse_product_spec("complete:2^15"))
 
     def test_sampled_size_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):

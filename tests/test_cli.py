@@ -11,7 +11,7 @@ import pytest
 import isobound
 from isobound import certify, minorants, profiles
 from isobound.cli import build_parser, parse_log_size, run
-from isobound.graphs import ParseError
+from isobound.graphs import ParseError, parse_product_spec
 
 PATH4_CSV = (
     "k,min_boundary,i_k_num,i_k_den,witness\n"
@@ -333,12 +333,17 @@ class TestVerifyWithoutProduct:
         assert [e["true_min_boundary"] for e in doc["entries"]] == truths
         assert doc["ok"] is True
 
-    @pytest.mark.parametrize("spec,m", [("complete:2^60", 2**60), ("cycle:5^11", 5**11)],
-                             ids=["complete:2^60", "cycle:5^11"])
-    def test_all_sizes_refused_before_building(self, spec, m, no_product, capsys):
-        # one unit per reported size: m sizes are over the budget
+    @pytest.mark.parametrize("spec", ["complete:2^60", "cycle:5^9", "complete:2^15", "cycle:5^7"])
+    def test_all_sizes_refused_before_building(self, spec, no_product, monkeypatch, capsys):
+        # 1000 units per reported size: m sizes are over the budget, refused
+        # before a truth is read
+        def refuse(*args):
+            raise AssertionError("truth read")
+
+        monkeypatch.setattr(certify, "_exact_truth", refuse)
+        m = parse_product_spec(spec).vertex_count
         assert run(["verify", spec]) == 2
-        assert f"verification of {m} sizes charges one unit of work per size" in capsys.readouterr().err
+        assert f"verification of {m} sizes charges {1000 * m} units of work" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec,m", [("path:3 x path:7", 21), ("complete:2^10", 1024)],
                              ids=["path:3 x path:7", "complete:2^10"])
