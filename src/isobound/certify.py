@@ -32,10 +32,10 @@ import decimal
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .allocation import TIGHT_REL_TOL, theorem_bound
-from .graphs import SEARCH_BUDGET, CapExceededError, Graph, ProductSpec, cartesian_product
+from .graphs import SEARCH_BUDGET, CapExceededError, Graph, ProductSpec, cartesian_product, check_product
 from .minorants import ConvexMinorant, RegularSummary, build_minorants
 from .profiles import IsoProfile, _search_sizes, nested_boundary, resolve_profiles
 
@@ -87,6 +87,23 @@ def _exact_truth(spec: ProductSpec, j: int) -> int | None:
     return None
 
 
+def _nested(g: Graph, profile: IsoProfile) -> Graph:
+    """g relabelled so that its canonical witnesses W_1, W_2, ... become its
+    prefixes (W_j minus W_{j-1} gets label j - 1) and marked nested; g itself
+    when it is nested already or some W_{j-1} is not inside W_j."""
+    if g.nested:
+        return g
+    order, prev = [], 0  # order[j]: the vertex that gets label j
+    for e in profile.entries:
+        if prev & ~e.witness.mask:
+            return g
+        order.append((e.witness.mask ^ prev).bit_length() - 1)
+        prev = e.witness.mask
+    label = {v: j for j, v in enumerate(order)}
+    adjacency = tuple(tuple(sorted(label[u] for u in g.adjacency[v])) for v in order)
+    return replace(g, adjacency=adjacency, nested=True, down=())  # g's own masks follow its old labels
+
+
 def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     """Exact truth vs allocation bound at each size of a product.
 
@@ -95,11 +112,14 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     refused before anything runs.  Size k is read through j = min(k, m - k),
     as b(k) = b(m - k).  Truths come from _exact_truth where the factors
     determine them.  Only when some size is left is the product materialized,
-    once and before any search (cartesian_product refuses it up front when too
-    large to search), and _search_sizes finds the values left on one budget,
-    which may refuse sizes that each fit alone; a refusal names the size asked.
-    Factor profiles come from resolve_profiles, so family factors of any size
-    use their closed form.
+    once and before any search (check_product refuses it up front when too
+    large to search, before the factors are profiled), from the factors as
+    _nested relabels them: a factor whose canonical witnesses form a chain gets
+    it as its prefixes, so its coordinate is compressed (profiles module
+    docstring).  Only values are reported, and they do not depend on labels.
+    _search_sizes finds the values left on one budget, which may refuse sizes
+    that each fit alone; a refusal names the size asked.  Factor profiles come
+    from resolve_profiles, so family factors of any size use their closed form.
     """
     m = spec.vertex_count
     ks = None if ks is None else tuple(ks)
@@ -117,9 +137,12 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
         raise ValueError(f"size {bad} outside 1..{m}")
     truths = {j: _exact_truth(spec, j) for j in (min(k, m - k) for k in ks)}
     names = {min(k, m - k): k for k in ks if truths[min(k, m - k)] is None}  # j searched: k asked
-    product = cartesian_product(spec) if names else None
-    minorants = build_minorants(resolve_profiles(spec.factors))
-    if names:
+    if names:  # a factor's profile may search for seconds: refuse the product first
+        check_product(spec)
+    profiles = resolve_profiles(spec.factors)
+    minorants = build_minorants(profiles)
+    if names:  # values do not depend on labels, so the searched factors may be relabelled
+        product = cartesian_product(ProductSpec(tuple(map(_nested, spec.factors, profiles))))
         truths.update((j, value) for j, (value, _) in _search_sizes(product, list(names), names).items())
     entries = []
     for k in ks:

@@ -43,7 +43,10 @@ class Graph:
     label: str = "graph"
     family: tuple[str, int] | None = None  # (name, m) when built by generate
     vertex_transitive: bool = False  # set at construction, never detected
-    # down[v]: the bit of v - stride_i for each family coordinate i of a product
+    # prefixes {0..j-1} are minimizers at every size j: set by generate, and by
+    # verify for a factor it relabels (certify._nested); never detected
+    nested: bool = False
+    # down[v]: the bit of v - stride_i for each nested coordinate i of a product
     # where v's coordinate is positive; () otherwise (profiles: compression)
     down: tuple[int, ...] = ()
 
@@ -188,7 +191,7 @@ def generate(family: str, m: int) -> Graph:
     """One of the named families on m vertices."""
     entry = family_entry(family, m)
     g = Graph.from_edges(m, entry.edges(m), label=f"{family}:{m}")
-    return replace(g, family=(family, m), vertex_transitive=entry.vertex_transitive(m))
+    return replace(g, family=(family, m), vertex_transitive=entry.vertex_transitive(m), nested=True)
 
 
 def petersen() -> Graph:
@@ -283,18 +286,24 @@ def parse_product_spec(text: str) -> ProductSpec:
     return ProductSpec(tuple(factors))
 
 
-def cartesian_product(spec: ProductSpec) -> Graph:
-    """Materialize the product, which is built only to be searched at a size
-    of at least 2.  Such a search first charges m(m - 1)/2 units for its
-    adjacency masks, so a product whose masks alone exceed SEARCH_BUDGET is
-    refused before anything is allocated."""
-    factors = spec.factors
+def check_product(spec: ProductSpec) -> None:
+    """Refuse a product that is built only to be searched at a size of at
+    least 2: such a search first charges m(m - 1)/2 units for its adjacency
+    masks, so a product whose masks alone exceed SEARCH_BUDGET is refused
+    before anything is allocated."""
     total = spec.vertex_count
     if (units := total * (total - 1) // 2) > SEARCH_BUDGET:
         raise CapExceededError(
             f"product of {total} vertices charges {units} units of work for its"
             f" adjacency masks alone, over the budget of {SEARCH_BUDGET}"
         )
+
+
+def cartesian_product(spec: ProductSpec) -> Graph:
+    """Materialize the product, once check_product admits it."""
+    check_product(spec)
+    factors = spec.factors
+    total = spec.vertex_count
     if len(factors) == 1:
         return factors[0]
     sizes = [f.vertex_count for f in factors]
@@ -306,10 +315,10 @@ def cartesian_product(spec: ProductSpec) -> Graph:
             base = idx - c * stride
             for u in g.adjacency[c]:
                 ns.append(base + u * stride)
-            if c and g.family is not None:
+            if c and g.nested:
                 below |= 1 << idx - stride
         adjacency.append(tuple(sorted(ns)))
         down.append(below)
     transitive = all(f.vertex_transitive for f in factors)  # Aut(G) x Aut(H) acts transitively
-    down = tuple(down) if any(f.family for f in factors) else ()  # () when no factor adds a bit
+    down = tuple(down) if any(f.nested for f in factors) else ()  # () when no factor adds a bit
     return Graph(total, tuple(adjacency), spec.label(), vertex_transitive=transitive, down=down)

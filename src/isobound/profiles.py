@@ -51,18 +51,21 @@ for m - k, and on a vertex-transitive graph leaves vertex 0 out, as the
 canonical k-witness holds it.
 
 Compression (Bollobas and Leader, Combinatorica 11, 1991) cuts the search of
-a product.  A family's first j vertices are optimal at every j and nested, so
-replacing each fibre of a set along a family coordinate by the prefix of its
-size leaves the boundary no larger (edges inside a fibre fall to the family's
-minimum, those between two fibres to the difference of their sizes).  It moves
-each member to one no larger, one to one, so the new set comes no later in
-lexicographic order, and the canonical witness is a down-set along every
-family coordinate.  With g.down (graphs.cartesian_product), a forward search
-takes a child v only when down[v] lies inside the set; a complement search,
-whose set is the witness's complement, takes no child past the first w whose
-down[w] meets the set (w is the last), as leaving w out would keep
-w - stride_i in.  A prefix of a down-set is a down-set, so the canonical
-witness is still met, and nodes are charged as before.
+a product.  A nested factor's first j vertices are optimal at every j (every
+family, and each factor that verify_theorem relabels so that its chain of
+canonical witnesses W_1, W_2, ... becomes its prefixes), so replacing each
+fibre of a set along a nested coordinate by the prefix of its size leaves the
+boundary no larger (edges inside a fibre fall to the factor's minimum, those
+between two fibres to the difference of their sizes).  It moves each member to
+one no larger, one to one, so the new set comes no later in lexicographic
+order, and the canonical witness is a down-set along every nested coordinate.
+Relabelling changes witnesses, not values, and verify reports values only.
+With g.down (graphs.cartesian_product), a forward search takes a child v only
+when down[v] lies inside the set; a complement search, whose set is the
+witness's complement, takes no child past the first w whose down[w] meets the
+set (w is the last), as leaving w out would keep w - stride_i in.  A prefix of
+a down-set is a down-set, so the canonical witness is still met, and nodes are
+charged as before.
 """
 
 from __future__ import annotations

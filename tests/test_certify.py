@@ -1,13 +1,20 @@
 import itertools
 import json
 import math
+import random
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import boundary_by_recount, first_dirichlet_pair_by_scan, product_vertex_set
+from oracles import (
+    boundary_by_recount,
+    first_dirichlet_pair_by_scan,
+    min_boundary_by_enumeration,
+    product_vertex_set,
+)
 
 from isobound import (
     CapExceededError,
@@ -29,12 +36,16 @@ from isobound import (
     regular_summary,
     verify_theorem,
 )
-from isobound import certify
-from isobound.certify import _beta_convergents, _convergents, _dirichlet_pair
+from isobound import certify, profiles
+from isobound.certify import _beta_convergents, _convergents, _dirichlet_pair, _nested
 from isobound.cli import run
+from isobound.profiles import resolve_profiles
 
 C5_INTERPOLATED_MID = 2.2772937677064276
 C5_RESIDUAL = -0.27729376770642755
+K2_K1 = Graph.from_edges(3, [(0, 1)], label="K2+K1")  # W_1 = {2} is not inside W_2 = {0, 1}
+# canonical witnesses {0}, {0, 3}, {0, 1, 3}, {0, 1, 2, 3}: a chain, not of prefixes
+CHAIN = Graph.from_edges(5, [(0, 3), (1, 2), (1, 3), (2, 3), (2, 4)], label="chain")
 
 
 @st.composite
@@ -93,6 +104,12 @@ class TestVerifyTheorem:
         with pytest.raises(CapExceededError, match=f"verification of {2**15} sizes charges {2**15 * 1000} units"):
             verify_theorem(parse_product_spec("complete:2^15"))
 
+    def test_oversized_product_refused_before_profiles(self, monkeypatch):
+        # a factor's profile may search for seconds; the product's masks are refused first
+        monkeypatch.setattr(certify, "resolve_profiles", lambda graphs: pytest.fail("factors profiled"))
+        with pytest.raises(CapExceededError, match="product of 20000 vertices charges"):
+            verify_theorem(parse_product_spec("path:20 x path:1000"), [3])
+
     def test_sampled_size_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             verify_theorem(parse_product_spec("path:3^2"), ks=[10])
@@ -117,6 +134,71 @@ class TestVerifyTheorem:
         assert doc["ok"] is True
         assert [e["k"] for e in doc["entries"]] == [1, 2, 3, 4]
         assert all(set(e) == {"k", "true_min_boundary", "bound_total", "gap", "tight"} for e in doc["entries"])
+
+
+def random_products():
+    """48 seeded products of 2-3 random file factors of 2-7 vertices, 12-42
+    vertices in all (two factors stop at 36: the search of a dense 6 x 7 pair
+    can exceed the budget).  Every third has a family factor and every
+    fourth, from the second on, a K2 + K1 factor."""
+    out = []
+    for seed in range(48):
+        rng = random.Random(2200 + seed)
+        while True:
+            factors = []
+            for i in range(rng.choice((2, 2, 3))):
+                m = rng.randint(2, 7)
+                edges = [p for p in itertools.combinations(range(m), 2) if rng.random() < rng.choice((0.3, 0.6))]
+                factors.append(Graph.from_edges(m, edges, label=f"file{i}:{m}"))
+            if seed % 3 == 0:
+                family = ("path", "cycle", "complete")[seed // 3 % 3]
+                factors[rng.randrange(len(factors))] = generate(family, rng.randint(3, 4))
+            if seed % 4 == 1:
+                factors[rng.randrange(len(factors))] = K2_K1
+            if 12 <= math.prod(f.vertex_count for f in factors) <= (42 if len(factors) == 3 else 36):
+                break
+        spec = ProductSpec(tuple(factors))
+        out.append(pytest.param(spec, id=f"{seed}:{spec.label()}"))
+    return out
+
+
+class TestNestedFactors:
+    """verify relabels each factor whose canonical witnesses form a chain, so
+    that the chain is its prefixes, and compresses its coordinate."""
+
+    def test_chain_factor_is_relabelled(self):
+        (profile,) = resolve_profiles([CHAIN])
+        g = _nested(CHAIN, profile)
+        assert g.nested and not CHAIN.nested
+        order = (0, 3, 1, 2, 4)  # old vertex order[j] is new vertex j
+        edges = {frozenset((order.index(u), order.index(v))) for u in range(5) for v in CHAIN.adjacency[u]}
+        assert edges == {frozenset((u, v)) for u in range(5) for v in g.adjacency[u]}
+        for j in range(1, 6):
+            assert boundary_by_recount(g, range(j)) == min_boundary_by_enumeration(CHAIN, j)[0]
+
+    @pytest.mark.parametrize("g", [K2_K1, petersen(), generate("cycle", 5)], ids=lambda g: g.label)
+    def test_returned_as_is(self, g):
+        # K2 + K1 and Petersen (W_7 is not inside W_8) have no chain; a family is nested already
+        (profile,) = resolve_profiles([g])
+        assert _nested(g, profile) is g
+        assert g.nested == (g.family is not None)
+
+    def test_nested_coordinate_gets_down_bits(self):
+        marked = replace(CHAIN, nested=True)
+        assert cartesian_product(ProductSpec((CHAIN, marked))).down == tuple(
+            1 << v - 1 if v % 5 else 0 for v in range(25)
+        )
+        assert cartesian_product(ProductSpec((marked, CHAIN))).down == tuple(
+            1 << v - 5 if v >= 5 else 0 for v in range(25)
+        )
+        assert cartesian_product(ProductSpec((CHAIN, CHAIN))).down == ()
+
+    @pytest.mark.parametrize("spec", random_products())
+    def test_truths_match_plain_search(self, spec):
+        m = spec.vertex_count
+        plain = profiles._search_sizes(replace(cartesian_product(spec), down=()), range(1, m // 2 + 1))
+        truths = [e.true_min_boundary for e in verify_theorem(spec).entries]
+        assert truths == [plain[min(k, m - k)][0] if k < m else 0 for k in range(1, m + 1)]
 
 
 class TestNonlinearityWitness:
