@@ -111,7 +111,8 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     SIZE_UNITS, its cost in budget units, and a report over SEARCH_BUDGET is
     refused before anything runs.  Size k is read through j = min(k, m - k),
     as b(k) = b(m - k).  Truths come from _exact_truth where the factors
-    determine them.  Only when some size is left is the product materialized,
+    determine them, or from the profile of a single factor.  Only when some
+    size is left of a product of two or more factors is it materialized,
     once and before any search (check_product refuses it up front when too
     large to search, before the factors are profiled), from the factors as
     _nested relabels them: a factor whose canonical witnesses form a chain gets
@@ -141,7 +142,9 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
         check_product(spec)
     profiles = resolve_profiles(spec.factors)
     minorants = build_minorants(profiles)
-    if names:  # values do not depend on labels, so the searched factors may be relabelled
+    if names and len(spec.factors) == 1:  # the factor's own profile holds every truth
+        truths.update((j, profiles[0].boundary(j)) for j in names)
+    elif names:  # values do not depend on labels, so the searched factors may be relabelled
         product = cartesian_product(ProductSpec(tuple(map(_nested, spec.factors, profiles))))
         truths.update((j, value) for j, (value, _) in _search_sizes(product, list(names), names).items())
     entries = []
@@ -166,12 +169,13 @@ class NonlinearityWitness:
     residual: float  # exact middle value minus the interpolation (negative)
 
 
-def q71_witness(g: Graph, profile: IsoProfile, psi: ConvexMinorant, n: int) -> NonlinearityWitness:
+def q71_witness(g: Graph, psi: ConvexMinorant, n: int) -> NonlinearityWitness:
     """Three sizes on G^n whose exact minima are not collinear in log size.
 
     At a hull breakpoint k the bound n * psi(log k) and the product
     construction (witness set)^n both give n * i_k per vertex, so the value is
-    exact.  Convexity then forces the middle size below the chord.
+    exact; i_k is the breakpoint's value.  Convexity then forces the middle
+    size below the chord.
     """
     if n < 1:
         raise ValueError(f"need a positive power, got {n}")
@@ -190,7 +194,7 @@ def q71_witness(g: Graph, profile: IsoProfile, psi: ConvexMinorant, n: int) -> N
             f" the interpreter's limit for printing an integer; use a smaller --power"
         )
     sizes = tuple(k**n for k in ks)
-    exact = tuple(n * float(profile.ratio(k)) for k in ks)
+    exact = tuple(n * b.y for b in bps)
     lower = tuple(n * psi.evaluate(b.x) for b in bps)
     for e, lo in zip(exact, lower):
         if abs(e - lo) > TIGHT_REL_TOL * max(1.0, abs(e)):

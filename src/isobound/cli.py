@@ -34,6 +34,7 @@ from .closed_forms import (
     torus_bound,
 )
 from .graphs import (
+    SEARCH_BUDGET,
     CapExceededError,
     Graph,
     ParseError,
@@ -41,13 +42,15 @@ from .graphs import (
     cartesian_product,
     parse_product_spec,
 )
-from .minorants import build_minorant, build_minorants, regular_summary
-from .profiles import IsoProfile, resolve_profiles
+from .minorants import regular_summary, resolve_minorants
+from .profiles import resolve_profiles
 
 GRAMMAR = (
     "SPEC := TERM (x TERM)*; TERM := ATOM | ATOM^K;"
     " ATOM := complete:M | path:M | cycle:M | file:PATH"
 )
+
+SAMPLE_UNITS = 200  # budget units per compare sample: 11 us each as JSON, 2-core Xeon, CPython 3.11
 
 _LOG_EXPR = re.compile(
     r"^\s*(?:(?P<coef>[0-9]+(?:\.[0-9]+)?)\s*\*\s*)?log\(\s*(?P<arg>[0-9]+(?:\.[0-9]+)?)\s*\)\s*$"
@@ -114,18 +117,16 @@ def _pairs(doc: dict) -> list[dict]:
     return [{"key": k, "value": v} for k, v in sorted(doc.items())]
 
 
-def _target_graph_and_profile(args, exhaustive: bool = False) -> tuple[Graph, IsoProfile]:
-    """The requested graph and its profile; a single factor is used as is,
-    never refused as a product, so family atoms of any size take their closed
-    form."""
+def _target_graph(args) -> Graph:
+    """The requested graph; a single factor is used as is, never refused as a
+    product, so family atoms of any size take their closed form."""
     spec = parse_product_spec(args.spec)
-    g = spec.factors[0] if len(spec.factors) == 1 else cartesian_product(spec)
-    (prof,) = resolve_profiles([g], exhaustive)
-    return g, prof
+    return spec.factors[0] if len(spec.factors) == 1 else cartesian_product(spec)
 
 
 def _cmd_profile(args) -> int:
-    g, prof = _target_graph_and_profile(args, args.exhaustive)
+    g = _target_graph(args)
+    (prof,) = resolve_profiles([g], args.exhaustive)
     rows = [
         {
             "k": e.k,
@@ -152,8 +153,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_minorant(args) -> int:
-    g, prof = _target_graph_and_profile(args, args.exhaustive)
-    psi = build_minorant(prof)
+    g = _target_graph(args)
+    (psi,) = resolve_minorants([g], args.exhaustive)
     summary = None
     if g.vertex_count >= 2 and g.is_regular() and g.is_connected():
         summary = regular_summary(g, psi)
@@ -228,7 +229,7 @@ def _cmd_bound(args) -> int:
         print(f"error: --size must be positive, got {size}", file=sys.stderr)
         return 2
     log_size = math.log(size) if size is not None else parse_log_size(args.log_size)
-    minorants = build_minorants(resolve_profiles(spec.factors))
+    minorants = resolve_minorants(spec.factors)
     result = theorem_bound(minorants, log_size if size is None else None, size=size)
     reports = _closed_form_reports(spec, minorants, log_size, size)
     theorem, closed = _record(result), [_record(r) for r in reports]
@@ -274,6 +275,11 @@ def _cmd_compare(args) -> int:
     if args.samples < 1:
         print(f"error: --samples must be positive, got {args.samples}", file=sys.stderr)
         return 2
+    if (units := args.samples * SAMPLE_UNITS) > SEARCH_BUDGET:
+        raise CapExceededError(
+            f"comparison of {args.samples} samples charges {units} units of work"
+            f" ({SAMPLE_UNITS} per sample), over the budget of {SEARCH_BUDGET}"
+        )
     torus = fam == "cycle"
     ours_fn = torus_bound if torus else grid_bound
     hi = n * math.log(m) - math.log(2)  # sets up to half the product
@@ -322,9 +328,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify_q71(args) -> int:
-    g, prof = _target_graph_and_profile(args)
-    psi = build_minorant(prof)
-    witness = q71_witness(g, prof, psi, args.power)
+    g = _target_graph(args)
+    (psi,) = resolve_minorants([g])
+    witness = q71_witness(g, psi, args.power)
     doc = {**_record(witness), "sizes": [str(a) for a in witness.sizes]}  # may exceed double range
     if args.output == "json":
         _emit_json(doc)
@@ -347,8 +353,8 @@ def _cmd_certify_q72(args) -> int:
         print("error: certify-q72 takes a single base graph", file=sys.stderr)
         return 2
     g = spec.factors[0]
-    (prof,) = resolve_profiles([g])
-    summary = regular_summary(g, build_minorant(prof))
+    (psi,) = resolve_minorants([g])
+    summary = regular_summary(g, psi)
     try:
         cert = q72_certificate(g, summary, args.eps_start)
     except SlabsOptimalError as exc:

@@ -8,6 +8,34 @@ logarithms throughout.
 Conventions at the boundary: the left derivative at 0 is -infinity and the
 right derivative at log m is 0.  Both are returned as sentinels for interval
 tests only; nothing here ever does arithmetic with them.
+
+resolve_minorants builds the minorant of a graph with no closed form hull-first,
+without its full profile.  It searches sizes up to SMALL exactly, values only:
+each incumbent starts at the boundary of the last set grown to k, so ties are
+pruned.  Then for each k from SMALL + 1 to m/2 it runs one decision search for
+the pair {k, m - k} (b(k) = b(m - k)), its incumbent fixed at
+T = max over j in {k, m - k} of ceil(j H(log j) (1 + DECISION_TOL)), with H the
+lower hull of the exact points found so far, (log m, 0) among them.  If no
+k-set has boundary below T, both points lie on or above H; otherwise the search
+has found the exact b(k), a new point.  The result is the hull of the exact
+points.  Three facts make it the hull of the full profile:
+
+- T rounds up.  H is computed in floats, within a few ulps and COLLINEAR_TOL
+  of the exact hull, so the margin keeps T at or above j H(log j) exactly.  A
+  T too high only runs a search that finds a point not needed, but exact; a T
+  too low would miss a point below the hull.
+- H only falls.  Adding points to a set can only lower its lower hull, so a
+  point shown on or above an earlier H lies on or above every later one, the
+  last included.
+- So every point lies on or above the hull of the exact points, which is then
+  the lower hull of all the points.  The chain merges collinear points, so a
+  point on it is never a breakpoint, and the breakpoints (k, log k, b(k)/k)
+  are those, in the same floats, of build_minorant on the full profile.
+
+One factor's searches share one budget and row table, as a profile's sizes do.
+On a random graph the hull has two or three points, so most decisions fail at
+once: a random G(40, 0.3), whose profile is over the budget, resolves in
+0.63 M units.
 """
 
 from __future__ import annotations
@@ -18,10 +46,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import Graph
-from .profiles import IsoProfile
+from .profiles import IsoProfile, _grow, _per_distinct, _search, profile_closed_form, resolve_profiles
 
 LOG_TOL = 1e-12
 COLLINEAR_TOL = 1e-12
+DECISION_TOL = 1e-9  # relative margin of a decision threshold over the float hull
+SMALL = 3  # sizes searched exactly before the decisions
 
 LEFT_INFINITE = float("-inf")  # sentinel: subdifferential is unbounded below at x = 0
 
@@ -97,13 +127,19 @@ class ConvexMinorant:
 
 
 def build_minorant(profile: IsoProfile) -> ConvexMinorant:
-    """Monotone-chain lower hull over the points (log k, i_k), k = 1..m.
+    """The lower hull over the points (log k, i_k), k = 1..m."""
+    return _hull(profile.graph_size, {e.k: e.min_boundary for e in profile.entries})
+
+
+def _hull(m: int, boundaries: dict[int, int]) -> ConvexMinorant:
+    """Monotone-chain lower hull over the points (log k, b(k)/k), for the sizes
+    k in `boundaries`, taken ascending; 1 and m among them.
 
     Collinear interior points are merged: a candidate is popped when the cross
     product of the last two hull edges is below COLLINEAR_TOL scaled by the
     magnitude of its two terms.
     """
-    points = [(e.k, math.log(e.k), float(e.ratio)) for e in profile.entries]
+    points = [(k, math.log(k), boundaries[k] / k) for k in sorted(boundaries)]
     hull: list[tuple[int, float, float]] = []
     for p in points:
         while len(hull) >= 2:
@@ -117,9 +153,51 @@ def build_minorant(profile: IsoProfile) -> ConvexMinorant:
                 break
         hull.append(p)
     return ConvexMinorant(
-        domain_end=math.log(profile.graph_size),
+        domain_end=math.log(m),
         breakpoints=tuple(Breakpoint(k, x, y) for k, x, y in hull),
     )
+
+
+def _threshold(psi: ConvexMinorant, j: int) -> int:
+    """The least integer above j psi(log j) by the relative margin DECISION_TOL:
+    a j-set with a smaller boundary puts (log j, i_j) below the hull."""
+    return math.ceil(j * psi.evaluate(math.log(j)) * (1 + DECISION_TOL))
+
+
+def _hull_first(g: Graph) -> ConvexMinorant:
+    """build_minorant(profile_bruteforce(g)) from the few sizes that decide it
+    (module docstring), on one budget."""
+    m = g.vertex_count
+    exact = {m: 0}  # size: least boundary
+    spent, rows, seed = 0, [], (0, 0)  # sizes ascending: m // 2 is searched last
+    for j in sorted({min(k, m - k) for k in range(1, min(SMALL, m - 1) + 1)}):
+        incumbent, grown = _grow(g, *seed, j)  # values only: a tie with the grown set is pruned
+        value, mask, spent = _search(g, j, incumbent, None, spent, rows, j < m // 2, j)
+        seed = value, mask or grown
+        exact[j] = exact[m - j] = value
+    psi = _hull(m, exact)
+    for j in range(SMALL + 1, m // 2 + 1):
+        bar = max(_threshold(psi, j), _threshold(psi, m - j))
+        value, mask, spent = _search(g, j, bar, None, spent, rows, j < m // 2, j)
+        if mask:  # a j-set below the bar: the search found the exact b(j)
+            exact[j] = exact[m - j] = value
+            psi = _hull(m, exact)
+    return psi
+
+
+def resolve_minorants(graphs, exhaustive: bool = False) -> tuple[ConvexMinorant, ...]:
+    """One minorant per graph, equal graphs sharing one object: a family
+    graph's from its closed form, any other graph's hull-first (module
+    docstring).  exhaustive: the hull of each graph's full profile, searched
+    uncompressed for a family graph too (resolve_profiles), which the closed
+    forms and the hull-first minorants can be checked against."""
+    if exhaustive:
+        return build_minorants(resolve_profiles(graphs, exhaustive))
+
+    def solve(g: Graph) -> ConvexMinorant:
+        return _hull_first(g) if g.family is None else build_minorant(profile_closed_form(*g.family))
+
+    return _per_distinct(graphs, solve)
 
 
 def build_minorants(profiles) -> tuple[ConvexMinorant, ...]:

@@ -26,7 +26,9 @@ verify_theorem.  It searches the sizes up to m/2 in ascending order, each with
 its incumbent one above the boundary of a real set: the last witness, grown
 by the vertex of least boundary increase (the least on a tie) to k vertices.
 The first minimizer in lexicographic order still beats every set before it,
-so values and witnesses are those of an unseeded search.
+so values and witnesses are those of an unseeded search.  The incumbent is a
+parameter of _search: the hull-first minorants (minorants module) fix it at
+the grown set's boundary, which prunes ties, or at a decision threshold.
 
 Work is counted in list elements, not nodes: an element costs 0.03-0.25 us
 (one core of a 2-core Xeon, CPython 3.11) across searches whose node counts
@@ -112,20 +114,32 @@ def _over_budget(spent: int, k: int, m: int) -> CapExceededError:
 
 def _grow(g: Graph, cross: int, mask: int, k: int) -> tuple[int, int]:
     """(boundary, mask) of the set mask, of boundary cross, grown to k vertices,
-    each step adding the v of least cross + deg v - 2 |adj v & A|, then least v."""
-    deg, adj, vertices = g.degrees, g.adjacency_masks, range(g.vertex_count)
+    each step adding the v of least cross + deg v - 2 |adj v & A|, then least v.
+    It reads adjacency lists, not masks, so it runs before a search charges
+    for the masks (O(m^2) bits on a large product)."""
+    adjacency = g.adjacency
+    delta = list(g.degrees)  # deg u - 2 |adj u & A|: the step that adds u
+    rest = mask
+    while rest:
+        v = rest.bit_length() - 1
+        rest ^= 1 << v
+        for u in adjacency[v]:
+            delta[u] -= 2
     for _ in range(mask.bit_count(), k):
-        step, v = min((deg[u] - 2 * (adj[u] & mask).bit_count(), u) for u in vertices if not mask >> u & 1)
+        step, v = min((d, u) for u, d in enumerate(delta) if not mask >> u & 1)
         cross, mask = cross + step, mask | 1 << v
+        for u in adjacency[v]:
+            delta[u] -= 2
     return cross, mask
 
 
-def _search(g: Graph, k: int, target: int | None, spent: int, rows: list,
-            seed: tuple[int, int], more: bool, asked: int) -> tuple[int, int, int]:
-    """(min boundary, witness mask, units spent) over k-subsets, k < m, from
-    `spent` units on: seeded by the (boundary, mask) seed grown to k or, given
-    target = b(m - k) (m/2 < k), by complement search; more: a search follows;
-    a refusal names the size asked."""
+def _search(g: Graph, k: int, incumbent: int, target: int | None, spent: int, rows: list,
+             more: bool, asked: int) -> tuple[int, int, int]:
+    """(least boundary below incumbent, its first witness mask, units spent)
+    over k-subsets, k < m, from `spent` units on; a forward search below which
+    no set lies returns (incumbent, 0, spent), and size 1 is answered exactly.
+    Given target = b(m - k) (m/2 < k), a complement search that stops at the
+    target; more: a search follows; a refusal names the size asked."""
     m = g.vertex_count
     deg = g.degrees
     full = (1 << m) - 1
@@ -145,8 +159,7 @@ def _search(g: Graph, k: int, target: int | None, spent: int, rows: list,
     if spent > SEARCH_BUDGET:
         raise _over_budget(spent, asked, m)
     adj, down = g.adjacency_masks, g.down
-    best_val = (target if flip else _grow(g, *seed, k)[0]) + 1
-    best_mask = 0
+    best_val, best_mask = incumbent, 0
     # rows[cap][v] = (r, sum of the cap + 1 smallest of r), r[u - v - 1] =
     # deg u - 2 [u ~ v] - min(|adj u & {v+1..m-1}|, cap) for u > v: the part of
     # a floor weight that no mask changes, built on first use.  The root takes
@@ -233,7 +246,8 @@ def _search_sizes(g: Graph, ks, names=None) -> dict[int, tuple[int, int]]:
     order = sorted({min(k, m - k) for k in ks} - {0}) + sorted({k for k in ks if m - k < k < m})
     for k in order:
         target = found[m - k][0] if 2 * k > m else None
-        value, mask, spent = _search(g, k, target, spent, rows, seed, k != order[-1], names.get(k, k))
+        incumbent = (_grow(g, *seed, k)[0] if target is None else target) + 1  # ties are found
+        value, mask, spent = _search(g, k, incumbent, target, spent, rows, k != order[-1], names.get(k, k))
         found[k] = seed = value, mask
     return {k: found[k] for k in ks}
 
@@ -294,6 +308,18 @@ def nested_boundary(sizes, k: int) -> int:
     return k * degree - 2 * inner
 
 
+def _per_distinct(graphs, solve) -> tuple:
+    """solve(g) per graph, each distinct graph solved once: equal graphs map to
+    the identical result object."""
+    graphs = tuple(graphs)
+    keys = [g.family or g for g in graphs]  # family graphs key by (name, m): no adjacency hash
+    solved: dict = {}
+    for g, key in zip(graphs, keys):
+        if key not in solved:
+            solved[key] = solve(g)
+    return tuple(solved[key] for key in keys)
+
+
 def resolve_profiles(graphs, exhaustive: bool = False) -> tuple[IsoProfile, ...]:
     """The one choice between closed form and search: one profile per graph,
     each distinct graph solved once, the closed form for family graphs unless
@@ -301,13 +327,9 @@ def resolve_profiles(graphs, exhaustive: bool = False) -> tuple[IsoProfile, ...]
 
     Contract: equal graphs map to the identical IsoProfile object, so callers
     (build_minorants) can deduplicate by identity without hashing profiles."""
-    graphs = tuple(graphs)
-    keys = [g.family or g for g in graphs]  # family graphs key by (name, m): no adjacency hash
-    solved: dict = {}
-    for g, key in zip(graphs, keys):
-        if key not in solved:
-            if g.family is not None and not exhaustive:
-                solved[key] = profile_closed_form(*g.family)
-            else:
-                solved[key] = profile_bruteforce(replace(g, down=()) if exhaustive else g)
-    return tuple(solved[key] for key in keys)
+    def solve(g: Graph) -> IsoProfile:
+        if exhaustive:
+            return profile_bruteforce(replace(g, down=()))
+        return profile_bruteforce(g) if g.family is None else profile_closed_form(*g.family)
+
+    return _per_distinct(graphs, solve)

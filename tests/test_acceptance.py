@@ -165,7 +165,7 @@ def test_criterion_08_nonlinearity_witness_c5_squared(capsys):
     with criterion(capsys, 8, "C_5^2 nonlinearity: certified residual -0.2773 below the chord"):
         g = generate("cycle", 5)
         prof = profile_bruteforce(g)
-        w = q71_witness(g, prof, build_minorant(prof), 2)
+        w = q71_witness(g, build_minorant(prof), 2)
         assert w.sizes == (1, 4, 25)
         for exact, lower in zip(w.exact_per_vertex, w.lower_per_vertex):
             assert abs(exact - lower) <= 1e-9 * max(1.0, exact)  # certified both sides

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,7 @@ from isobound.certify import _beta_convergents, _convergents, _dirichlet_pair, _
 from isobound.cli import run
 from isobound.profiles import resolve_profiles
 
+GOLDEN = Path(__file__).parent / "golden"
 C5_INTERPOLATED_MID = 2.2772937677064276
 C5_RESIDUAL = -0.27729376770642755
 K2_K1 = Graph.from_edges(3, [(0, 1)], label="K2+K1")  # W_1 = {2} is not inside W_2 = {0, 1}
@@ -103,6 +105,27 @@ class TestVerifyTheorem:
         assert report.ok and [e.k for e in report.entries] == list(range(1, 22))
         with pytest.raises(CapExceededError, match=f"verification of {2**15} sizes charges {2**15 * 1000} units"):
             verify_theorem(parse_product_spec("complete:2^15"))
+
+    def test_one_factor_read_from_its_profile(self, monkeypatch):
+        # a single factor's truths are its profile's: one size loop, not a
+        # second search of the same graph at sizes 2..m/2
+        calls = []
+        original = profiles._search_sizes
+
+        def counting(g, ks, *rest):
+            calls.append(list(ks))
+            return original(g, ks, *rest)
+
+        monkeypatch.setattr(profiles, "_search_sizes", counting)
+        monkeypatch.setattr(certify, "_search_sizes", counting)
+        spec = parse_product_spec(f"file:{GOLDEN / 'g13.txt'}")
+        report = verify_theorem(spec)
+        assert calls == [list(range(1, 14))]
+        g = spec.factors[0]
+        assert [e.true_min_boundary for e in report.entries] == [
+            min_boundary_by_enumeration(g, k)[0] for k in range(1, 14)
+        ]
+        assert report.ok and [e.k for e in report.entries] == list(range(1, 14))
 
     def test_oversized_product_refused_before_profiles(self, monkeypatch):
         # a factor's profile may search for seconds; the product's masks are refused first
@@ -209,7 +232,7 @@ class TestNonlinearityWitness:
 
     def test_c5_squared_golden(self):
         g, prof, psi = self.c5_parts()
-        w = q71_witness(g, prof, psi, 2)
+        w = q71_witness(g, psi, 2)
         assert w.ks == (1, 2, 5)
         assert w.sizes == (1, 4, 25)
         assert w.exact_per_vertex == pytest.approx((4.0, 2.0, 0.0), abs=1e-12)
@@ -222,7 +245,7 @@ class TestNonlinearityWitness:
     def test_middle_size_truth_matches(self):
         # the certified middle value is the true minimum on the square
         g, prof, psi = self.c5_parts()
-        w = q71_witness(g, prof, psi, 2)
+        w = q71_witness(g, psi, 2)
         spec = parse_product_spec("cycle:5^2")
         product = cartesian_product(spec)
         truth, _ = min_boundary(product, w.sizes[1])
@@ -232,7 +255,7 @@ class TestNonlinearityWitness:
 
     def test_huge_power_stays_symbolic(self, capsys):
         g, prof, psi = self.c5_parts()
-        w = q71_witness(g, prof, psi, 40)
+        w = q71_witness(g, psi, 40)
         assert w.sizes == (1, 2**40, 5**40)
         assert w.residual < -1e-6
         assert run(["certify-q71", "cycle:5", "--power", "40", "--output", "json"]) == 0
@@ -244,12 +267,12 @@ class TestNonlinearityWitness:
         g, prof, psi = self.c5_parts()
         start = time.monotonic()
         with pytest.raises(ValueError, match=f"5\\^10000000 has more than {sys.get_int_max_str_digits()}"):
-            q71_witness(g, prof, psi, 10**7)
+            q71_witness(g, psi, 10**7)
         assert time.monotonic() - start < 1.0
 
     def test_path_cube(self):
         prof = profile_closed_form("path", 5)
-        w = q71_witness(generate("path", 5), prof, build_minorant(prof), 3)
+        w = q71_witness(generate("path", 5), build_minorant(prof), 3)
         assert w.ks == (1, 2, 5)
         assert w.exact_per_vertex == pytest.approx((3.0, 1.5, 0.0), abs=1e-12)
         assert w.residual < -0.1
@@ -260,18 +283,18 @@ class TestNonlinearityWitness:
         psi = build_minorant(prof)
         if len(psi.breakpoints) < 3:
             pytest.skip("single-chord hull")
-        w = q71_witness(generate("cycle", m), prof, psi, 2)
+        w = q71_witness(generate("cycle", m), psi, 2)
         assert w.residual < -1e-6
 
     def test_single_chord_refused(self):
         prof = profile_closed_form("complete", 4)
         with pytest.raises(ValueError, match="single linear piece"):
-            q71_witness(generate("complete", 4), prof, build_minorant(prof), 2)
+            q71_witness(generate("complete", 4), build_minorant(prof), 2)
 
     def test_bad_power(self):
         g, prof, psi = self.c5_parts()
         with pytest.raises(ValueError, match="positive power"):
-            q71_witness(g, prof, psi, 0)
+            q71_witness(g, psi, 0)
 
 
 def recheck_certificate(cert, m):

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,9 +11,17 @@ from pathlib import Path
 import pytest
 
 import isobound
-from isobound import certify, minorants, profiles
+from isobound import certify, cli, minorants, profiles
 from isobound.cli import build_parser, parse_log_size, run
 from isobound.graphs import ParseError, parse_product_spec
+
+
+def write_random_graph(path, rng, m, density):
+    """An edge-list file of G(m, density), each pair an edge with that probability."""
+    edges = [p for p in itertools.combinations(range(m), 2) if rng.random() < density]
+    path.write_text(f"{m}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return path
+
 
 PATH4_CSV = (
     "k,min_boundary,i_k_num,i_k_den,witness\n"
@@ -112,6 +122,28 @@ class TestMinorantCommand:
         out = capsys.readouterr().out
         assert "convex minorant of cycle:4" in out
         assert "regular summary" in out
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hull_first_prints_the_exhaustive_json(self, seed, tmp_path, capsys):
+        # minorant proves the hull of a few exact sizes; --exhaustive builds it
+        # from every size
+        rng = random.Random(4200 + seed)
+        m = rng.randint(9, 18)
+        path = write_random_graph(tmp_path / "g.txt", rng, m, rng.choice([0.15, 0.3, 0.5, 0.7]))
+        assert run(["minorant", f"file:{path}", "--output", "json"]) == 0
+        hull_first = capsys.readouterr().out
+        assert run(["minorant", f"file:{path}", "--exhaustive", "--output", "json"]) == 0
+        assert capsys.readouterr().out == hull_first
+
+    def test_forty_vertex_file_factor_answers(self, tmp_path, capsys):
+        # a random G(40, 0.3), whose full profile is over the budget: the
+        # hull-first minorant fits one budget, in the bound of its power too
+        path = write_random_graph(tmp_path / "r40.txt", random.Random(40), 40, 0.3)
+        assert run(["minorant", f"file:{path}", "--output", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [b["k"] for b in doc["breakpoints"]] == [1, 40]
+        assert run(["bound", f"file:{path}^10", "--size", "1000", "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["theorem"]["bound_total"] > 0
 
 
 class TestBoundCommand:
@@ -233,6 +265,15 @@ class TestCompareCommand:
 
     def test_rejects_bad_samples(self, capsys):
         assert run(["compare", "path:4^2", "--samples", "0"]) == 2
+
+    def test_samples_over_budget_refused_before_any_bound(self, monkeypatch, capsys):
+        # each sample is charged SAMPLE_UNITS before a row is built
+        monkeypatch.setattr(cli, "torus_bound", lambda *a: pytest.fail("bound evaluated"))
+        monkeypatch.setattr(cli, "bl_bound", lambda *a, **k: pytest.fail("bound evaluated"))
+        assert run(["compare", "cycle:5^3", "--samples", "1000000000"]) == 2
+        err = capsys.readouterr().err
+        assert f"comparison of 1000000000 samples charges {10**9 * cli.SAMPLE_UNITS} units" in err
+        assert cli.SAMPLE_UNITS * 100_000 <= cli.SEARCH_BUDGET  # 100,000 samples still answer
 
 
 class TestVerifyCommand:
@@ -433,8 +474,8 @@ class TestDistinctFactors:
     @pytest.fixture
     def searched(self, monkeypatch):
         # Every search, of a factor or of a verified product, goes through
-        # profiles._search, whichever name its caller imported; record the
-        # vertex count of each searched graph.
+        # _search: profiles' own loop, or the hull-first minorants, which bind
+        # it in their module; record the vertex count of each searched graph.
         calls = []
         original = profiles._search
 
@@ -443,13 +484,16 @@ class TestDistinctFactors:
             return original(g, k, *rest)
 
         monkeypatch.setattr(profiles, "_search", counting)
+        monkeypatch.setattr(minorants, "_search", counting)
         return calls
 
     def test_repeated_file_factor_searched_once(self, tmp_path, searched, capsys):
         p = tmp_path / "g.txt"
         p.write_text("13\n" + "".join(f"{v} {v + 1}\n" for v in range(12)) + "0 12\n0 6\n")
         assert run(["bound", f"file:{p}^4", "--size", "100"]) == 0
-        assert searched == [13] * 12  # one profile: sizes k = 1..12 of one graph; 13 is free
+        # one hull-first minorant of one graph: sizes 1-3 exactly, then one
+        # decision at each of 4-6 (sizes 7-12 are their complements; 13 is free)
+        assert searched == [13] * 6
 
     @pytest.mark.parametrize("spec,vertices", [("complete:2^15", 2**15), ("path:13^4", 13**4)])
     def test_family_factors_never_searched(self, spec, vertices, searched, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import astuple, fields
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from isobound import (
+    CapExceededError,
     Graph,
     build_minorant,
     cartesian_product,
@@ -17,10 +19,12 @@ from isobound import (
     profile_closed_form,
     regular_summary,
 )
-from isobound.minorants import LEFT_INFINITE, LOG_TOL
+from isobound import minorants, profiles
+from isobound.minorants import LEFT_INFINITE, LOG_TOL, resolve_minorants
 from isobound.profiles import resolve_profiles
 
 from oracles import one_sided_derivatives_by_scan, regular_summary_by_scan
+from test_profiles import seed_products
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -273,8 +277,10 @@ class TestShallowestChord:
         for g in regular_connected_sweep():
             assert g.is_regular() and g.is_connected()
             (prof,) = resolve_profiles([g])
-            s = regular_summary(g, build_minorant(prof))
+            psi = build_minorant(prof)
+            s = regular_summary(g, psi)
             assert astuple(s) == regular_summary_by_scan(g, prof), g.label
+            assert resolve_minorants([g]) == (psi,), g.label  # hull-first, when not a family
             graphs += 1
         assert graphs > 300
 
@@ -287,3 +293,72 @@ class TestShallowestChord:
         assert [b.k for b in psi.breakpoints] == [1, 16]
         assert (s.k_star, s.y_intercept) == (1, 4.0)
         assert s.chord_slope == -4.0 / math.log(16)
+
+
+def random_graph(seed, m, density):
+    rng = random.Random(seed)
+    edges = [p for p in itertools.combinations(range(m), 2) if rng.random() < density]
+    return Graph.from_edges(m, edges, label=f"random:{m}:{density}")
+
+
+def hull_first_randoms():
+    """24 seeded random graphs of 8-26 vertices at densities 0.1-0.7."""
+    for i in range(24):
+        m, density = 8 + 18 * i // 23, (0.1, 0.25, 0.4, 0.55, 0.7)[i % 5]
+        yield pytest.param(random_graph(2300 + i, m, density), id=f"random:{m}:{density}")
+
+
+class TestHullFirst:
+    """resolve_minorants proves the hull of the exact points it found instead
+    of computing every size, and gets build_minorant's minorant of the full
+    profile: the same breakpoints, in the same floats."""
+
+    @pytest.mark.parametrize("g", [*seed_products(), *hull_first_randoms()])
+    def test_matches_full_profile(self, g):
+        assert resolve_minorants([g]) == (build_minorant(profile_bruteforce(g)),)
+
+    @pytest.mark.parametrize("j,points", [
+        (4, {1: 3, 4: 4, 10: 0}),  # 4 psi(log 4) = 4.0, at a breakpoint
+        (3, {1: 2, 9: 0}),  # 3 psi(log 3) = 3.0, mid-chord
+        (5, {1: 3, 10: 0}),  # 4.515...
+        (6, {1: 4, 2: 3, 12: 0}),  # 3.481...
+    ])
+    def test_threshold_is_above_the_float_hull(self, j, points):
+        # a decision proves i_j >= psi(log j) exactly only if its bar exceeds
+        # j psi(log j) by more than the float hull's rounding: ceil alone ties
+        # at an integer, and floor falls below
+        psi = minorants._hull(max(points), points)
+        value = j * psi.evaluate(math.log(j))
+        bar = minorants._threshold(psi, j)
+        assert value < bar <= math.ceil(value * (1 + 1e-9))
+        assert bar > value * (1 + 1e-10)
+
+    def test_equal_factors_share_one_object(self):
+        g = random_graph(7, 12, 0.4)
+        same = Graph.from_edges(12, [(u, v) for u in range(12) for v in g.adjacency[u] if u < v], g.label)
+        assert same is not g
+        first, second, family, again = resolve_minorants([g, same, generate("cycle", 5), generate("cycle", 5)])
+        assert first is second and family is again
+        assert family == build_minorant(profile_closed_form("cycle", 5))
+
+    def test_exhaustive_is_the_full_profiles_hull(self):
+        g = random_graph(8, 14, 0.3)
+        assert resolve_minorants([g], exhaustive=True) == (build_minorant(profile_bruteforce(g)),)
+        assert resolve_minorants([generate("path", 6)], exhaustive=True) == (
+            build_minorant(profile_bruteforce(generate("path", 6))),
+        )
+
+    def test_one_budget_per_factor_names_the_size(self, monkeypatch):
+        # the decisions of one factor share one budget: sizes 1-11 charge
+        # 82,053 units together, so size 12 runs out, though it fits alone
+        g = random_graph(40, 40, 0.3)
+        monkeypatch.setattr(profiles, "SEARCH_BUDGET", 10**5)
+        with pytest.raises(CapExceededError, match="search for size 12 on 40 vertices charged 100255 units"):
+            resolve_minorants([g])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8])
+    def test_small_graphs(self, m):
+        # sizes up to 3 cover every pair {k, m - k} of a graph of at most 7
+        # vertices; from 8 on, the decisions start
+        g = random_graph(m, m, 0.5)
+        assert resolve_minorants([g]) == (build_minorant(profile_bruteforce(g)),)
