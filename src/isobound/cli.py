@@ -16,23 +16,6 @@ import re
 import sys
 from dataclasses import fields
 
-from .allocation import theorem_bound
-from .certify import (
-    SlabsOptimalError,
-    q71_witness,
-    q72_certificate,
-    verify_theorem,
-)
-from .closed_forms import (
-    BoundReport,
-    bl_bound,
-    connected_regular_bound,
-    grid_bound,
-    hamming_bound,
-    regular_product_bound,
-    regular_power_bound,
-    torus_bound,
-)
 from .graphs import (
     SEARCH_BUDGET,
     CapExceededError,
@@ -42,7 +25,6 @@ from .graphs import (
     cartesian_product,
     parse_product_spec,
 )
-from .minorants import regular_summary, resolve_minorants
 from .profiles import resolve_profiles
 
 GRAMMAR = (
@@ -153,6 +135,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_minorant(args) -> int:
+    from .minorants import regular_summary, resolve_minorants
+
     g = _target_graph(args)
     (psi,) = resolve_minorants([g], args.exhaustive)
     summary = None
@@ -176,7 +160,20 @@ def _cmd_minorant(args) -> int:
     return 0
 
 
-def _closed_form_reports(spec: ProductSpec, minorants, log_size, size) -> list[BoundReport]:
+def _closed_form_reports(spec: ProductSpec, minorants, log_size, size) -> list:
+    """A BoundReport for each closed form that applies to the product."""
+    from .closed_forms import (
+        BoundReport,
+        bl_bound,
+        connected_regular_bound,
+        grid_bound,
+        hamming_bound,
+        regular_power_bound,
+        regular_product_bound,
+        torus_bound,
+    )
+    from .minorants import regular_summary
+
     factors = spec.factors
     n = len(factors)
     fams = [f.family for f in factors]
@@ -220,6 +217,9 @@ def _closed_form_reports(spec: ProductSpec, minorants, log_size, size) -> list[B
 
 
 def _cmd_bound(args) -> int:
+    from .allocation import theorem_bound
+    from .minorants import resolve_minorants
+
     if (args.size is None) == (args.log_size is None):
         print("error: pass exactly one of --size or --log-size", file=sys.stderr)
         return 2
@@ -280,6 +280,8 @@ def _cmd_compare(args) -> int:
             f"comparison of {args.samples} samples charges {units} units of work"
             f" ({SAMPLE_UNITS} per sample), over the budget of {SEARCH_BUDGET}"
         )
+    from .closed_forms import bl_bound, grid_bound, torus_bound
+
     torus = fam == "cycle"
     ours_fn = torus_bound if torus else grid_bound
     hi = n * math.log(m) - math.log(2)  # sets up to half the product
@@ -301,6 +303,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .certify import verify_theorem
+
     spec = parse_product_spec(args.spec)
     ks = None
     if args.sizes is not None:
@@ -328,6 +332,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_certify_q71(args) -> int:
+    from .certify import q71_witness
+    from .minorants import resolve_minorants
+
     g = _target_graph(args)
     (psi,) = resolve_minorants([g])
     witness = q71_witness(g, psi, args.power)
@@ -348,6 +355,9 @@ def _cmd_certify_q71(args) -> int:
 
 
 def _cmd_certify_q72(args) -> int:
+    from .certify import SlabsOptimalError, q72_certificate
+    from .minorants import regular_summary, resolve_minorants
+
     spec = parse_product_spec(args.spec)
     if len(spec.factors) != 1:
         print("error: certify-q72 takes a single base graph", file=sys.stderr)

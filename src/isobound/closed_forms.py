@@ -9,9 +9,12 @@ power-of-r benchmark live here too.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .minorants import RegularSummary, log_domain
+
+_LOG_MAX = math.log(sys.float_info.max)  # the largest argument math.exp takes
 
 
 def hamming_bound(n: int, m: int, log_size: float) -> float:
@@ -40,12 +43,14 @@ def torus_bound(n: int, m: int, log_size: float) -> float:
 
 def bl_bound(n: int, m: int, log_size: float, torus: bool = False) -> float:
     """Power-of-r benchmark for P_m^n (or C_m^n with the factor 2):
-    (1/m) * min_{1 <= r <= n} r * exp((n log m - x) / r)."""
+    (1/m) * min_{1 <= r <= n} r * exp((n log m - x) / r).  A term whose exp
+    overflows a double is skipped: the r = n term is at most n * m, so such a
+    term is never the minimum."""
     if n < 1 or m < 2:
         raise ValueError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
     x = log_domain(log_size, n * math.log(m))
     rest = n * math.log(m) - x
-    best = min(r * math.exp(rest / r) for r in range(1, n + 1))
+    best = min(r * math.exp(rest / r) for r in range(1, n + 1) if rest / r <= _LOG_MAX)
     return (2.0 if torus else 1.0) * best / m
 
 

@@ -89,6 +89,10 @@ class Graph:
         return len(set(self.degrees)) <= 1
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         if self.vertex_count == 1:
             return True
         seen = {0}

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import isobound
-from isobound import certify, cli, minorants, profiles
+from isobound import certify, cli, closed_forms, minorants, profiles
 from isobound.cli import build_parser, parse_log_size, run
 from isobound.graphs import ParseError, parse_product_spec
 
@@ -268,12 +268,22 @@ class TestCompareCommand:
 
     def test_samples_over_budget_refused_before_any_bound(self, monkeypatch, capsys):
         # each sample is charged SAMPLE_UNITS before a row is built
-        monkeypatch.setattr(cli, "torus_bound", lambda *a: pytest.fail("bound evaluated"))
-        monkeypatch.setattr(cli, "bl_bound", lambda *a, **k: pytest.fail("bound evaluated"))
+        monkeypatch.setattr(closed_forms, "torus_bound", lambda *a: pytest.fail("bound evaluated"))
+        monkeypatch.setattr(closed_forms, "bl_bound", lambda *a, **k: pytest.fail("bound evaluated"))
         assert run(["compare", "cycle:5^3", "--samples", "1000000000"]) == 2
         err = capsys.readouterr().err
         assert f"comparison of 1000000000 samples charges {10**9 * cli.SAMPLE_UNITS} units" in err
         assert cli.SAMPLE_UNITS * 100_000 <= cli.SEARCH_BUDGET  # 100,000 samples still answer
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound", "path:5^450", "--size", "1"], ["compare", "path:5^450"]],
+        ids=["bound", "compare"],
+    )
+    def test_benchmark_past_double_range_answers(self, argv, capsys):
+        # n log m > 709.78: the power-of-r benchmark's r = 1 term overflows a double
+        assert run([*argv, "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)
 
 
 class TestVerifyCommand:
@@ -565,17 +575,77 @@ class TestTopLevel:
         assert capsys.readouterr().out == first
 
 
+def fresh_python(*args):
+    """A new interpreter that imports the same isobound as this process,
+    installed or not."""
+    src = str(Path(isobound.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+class TestStartupImports:
+    """Start-up loads only what the command runs.  Each check is a fresh
+    process, since this one already holds every module."""
+
+    def test_profile_loads_graphs_and_profiles_only(self):
+        code = (
+            "import sys\n"
+            "import isobound.cli\n"
+            "assert isobound.cli.run(['profile', 'path:4', '--output', 'csv']) == 0\n"
+            "print(*sorted(n for n in sys.modules if n.split('.')[0] == 'isobound'))\n"
+        )
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        *out, loaded = proc.stdout.splitlines(keepends=True)
+        assert "".join(out) == PATH4_CSV
+        assert loaded.split() == ["isobound", "isobound.cli", "isobound.graphs", "isobound.profiles"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minorant", "cycle:5"],
+            ["bound", "path:3^2", "--size", "4"],
+            ["compare", "cycle:4^2", "--samples", "5"],
+            ["verify", "path:3^2"],
+            ["certify-q71", "cycle:5", "--power", "2"],
+            ["certify-q72", "cycle:5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_command_answers_in_a_fresh_process(self, argv, capsys):
+        argv = [*argv, "--output", "json"]
+        proc = fresh_python("-m", "isobound.cli", *argv)
+        assert run(argv) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_public_names_resolve_to_their_modules(self):
+        code = (
+            "import sys\n"
+            "import isobound\n"
+            "assert [n for n in sys.modules if n.startswith('isobound')] == ['isobound']\n"
+            "for name in isobound.__all__:\n"
+            "    obj = getattr(isobound, name)\n"
+            "    assert obj.__module__.startswith('isobound.'), name\n"
+            "    assert getattr(sys.modules[obj.__module__], name) is obj, name\n"
+            "star = {}\n"
+            "exec('from isobound import *', star)\n"
+            "assert all(star[name] is getattr(isobound, name) for name in isobound.__all__)\n"
+            "assert not hasattr(isobound, 'no_such_name')\n"
+            "print(len(isobound.__all__))\n"
+        )
+        proc = fresh_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == len(isobound.__all__) == 41
+
+
 class TestInstalledEntryPoints:
     def test_module_invocation(self):
-        # the child imports the same isobound as this process, installed or not
-        src = str(Path(isobound.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "isobound.cli", "profile", "path:4", "--output", "csv"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
+        proc = fresh_python("-m", "isobound.cli", "profile", "path:4", "--output", "csv")
         assert proc.returncode == 0
         assert proc.stdout == PATH4_CSV
 

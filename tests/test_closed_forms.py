@@ -168,6 +168,19 @@ class TestBenchmarkComparison:
     def test_torus_flag_doubles(self):
         assert bl_bound(3, 5, 1.0, torus=True) == 2.0 * bl_bound(3, 5, 1.0)
 
+    @pytest.mark.parametrize("n,m,x", [(441, 5, 0.0), (100, 7, 3.0), (60, 30, 100.0), (5, 4, 2.0)])
+    def test_unchanged_where_every_term_is_finite(self, n, m, x):
+        rest = n * math.log(m) - x
+        assert bl_bound(n, m, x) == min(r * math.exp(rest / r) for r in range(1, n + 1)) / m
+
+    @pytest.mark.parametrize("n,m,x", [(450, 5, 0.0), (450, 5, 10.0), (1000, 3, 50.0), (300, 50, 0.0)])
+    def test_terms_past_double_range_are_skipped(self, n, m, x):
+        # n log m - x > 709.78: the r = 1 term's exp overflows a double, yet the
+        # small-regime equality with the grid bound still holds
+        assert n * math.log(m) - x > 709.79
+        assert bl_bound(n, m, x) == pytest.approx(grid_bound(n, m, x), rel=1e-12)
+        assert bl_bound(n, m, x, torus=True) == 2.0 * bl_bound(n, m, x)
+
 
 class TestRegularProduct:
     def test_hypercube(self):
