@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 
 from .allocation import TIGHT_REL_TOL, theorem_bound
 from .graphs import SEARCH_BUDGET, CapExceededError, Graph, ProductSpec, cartesian_product, check_product
-from .minorants import ConvexMinorant, RegularSummary, build_minorants
-from .profiles import IsoProfile, _search_sizes, nested_boundary, resolve_profiles
+from .minorants import ConvexMinorant, RegularSummary, build_minorant
+from .profiles import IsoProfile, _per_distinct, _search_sizes, nested_boundary, resolve_profile
 
 SIZE_UNITS = 1000  # budget units per reported size: 60-70 us each, 2-core Xeon, CPython 3.11
 EPS_FLOOR = 1e-12
@@ -120,7 +120,8 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     docstring).  Only values are reported, and they do not depend on labels.
     _search_sizes finds the values left on one budget, which may refuse sizes
     that each fit alone; a refusal names the size asked.  Factor profiles come
-    from resolve_profiles, so family factors of any size use their closed form.
+    from resolve_profile, so family factors of any size use their closed form,
+    and equal factors share one profile and one minorant.
     """
     m = spec.vertex_count
     ks = None if ks is None else tuple(ks)
@@ -140,8 +141,8 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     names = {min(k, m - k): k for k in ks if truths[min(k, m - k)] is None}  # j searched: k asked
     if names:  # a factor's profile may search for seconds: refuse the product first
         check_product(spec)
-    profiles = resolve_profiles(spec.factors)
-    minorants = build_minorants(profiles)
+    pairs = _per_distinct(spec.factors, lambda g: (p := resolve_profile(g), build_minorant(p)))
+    profiles, minorants = zip(*pairs)
     if names and len(spec.factors) == 1:  # the factor's own profile holds every truth
         truths.update((j, profiles[0].boundary(j)) for j in names)
     elif names:  # values do not depend on labels, so the searched factors may be relabelled

@@ -25,7 +25,7 @@ from .graphs import (
     cartesian_product,
     parse_product_spec,
 )
-from .profiles import resolve_profiles
+from .profiles import resolve_profile
 
 GRAMMAR = (
     "SPEC := TERM (x TERM)*; TERM := ATOM | ATOM^K;"
@@ -87,11 +87,17 @@ def _record(x):
     return x
 
 
+def _csv_field(c) -> str:
+    """c as one CSV field, quoted if it holds a comma, quote or line break (RFC 4180)."""
+    text = repr(c) if isinstance(c, float) else str(c)
+    return '"' + text.replace('"', '""') + '"' if any(ch in text for ch in ',"\r\n') else text
+
+
 def _emit_csv(records) -> None:
     """One row per record, under the first record's keys."""
-    print(",".join(records[0]))
+    print(",".join(map(_csv_field, records[0])))
     for r in records:
-        print(",".join(repr(c) if isinstance(c, float) else str(c) for c in r.values()))
+        print(",".join(map(_csv_field, r.values())))
 
 
 def _pairs(doc: dict) -> list[dict]:
@@ -108,7 +114,7 @@ def _target_graph(args) -> Graph:
 
 def _cmd_profile(args) -> int:
     g = _target_graph(args)
-    (prof,) = resolve_profiles([g], args.exhaustive)
+    prof = resolve_profile(g, args.exhaustive)
     rows = [
         {
             "k": e.k,
@@ -368,15 +374,12 @@ def _cmd_certify_q72(args) -> int:
     try:
         cert = q72_certificate(g, summary, args.eps_start)
     except SlabsOptimalError as exc:
+        doc = {"slabs_optimal": True, "degree": summary.degree, "y_intercept": summary.y_intercept,
+               "message": str(exc)}
         if args.output == "json":
-            _emit_json(
-                {
-                    "slabs_optimal": True,
-                    "degree": summary.degree,
-                    "y_intercept": summary.y_intercept,
-                    "message": str(exc),
-                }
-            )
+            _emit_json(doc)
+        elif args.output == "csv":
+            _emit_csv(_pairs(doc))
         else:
             print(f"{exc}")
         return 0

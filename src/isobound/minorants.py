@@ -10,15 +10,17 @@ right derivative at log m is 0.  Both are returned as sentinels for interval
 tests only; nothing here ever does arithmetic with them.
 
 resolve_minorants builds the minorant of a graph with no closed form hull-first,
-without its full profile.  It searches sizes up to SMALL exactly, values only:
-each incumbent starts at the boundary of the last set grown to k, so ties are
-pruned.  Then for each k from SMALL + 1 to m/2 it runs one decision search for
-the pair {k, m - k} (b(k) = b(m - k)), its incumbent fixed at
-T = max over j in {k, m - k} of ceil(j H(log j) (1 + DECISION_TOL)), with H the
-lower hull of the exact points found so far, (log m, 0) among them.  If no
-k-set has boundary below T, both points lie on or above H; otherwise the search
-has found the exact b(k), a new point.  The result is the hull of the exact
-points.  Three facts make it the hull of the full profile:
+without its full profile.  b(1) is the least degree d and b(m) = 0, so these
+points take no search.  Then for each k from 2 to m/2 it runs one decision
+search for the pair {k, m - k} (b(k) = b(m - k)), its incumbent fixed at
+T = max over j in {k, m - k} of ceil(j H(log j) (1 + DECISION_TOL)), with H
+the lower hull of the exact points found so far.  If no k-set has boundary
+below T, both points lie on or above H; otherwise the search has found the
+exact b(k), a new point.  The point at m - 1, where b = d, needs neither: for
+m >= 3 the chord from (0, d) to (log m, 0) is d log(m / (m - 1)) / log m
+<= d / (m - 1) at log(m - 1), and every H lies on or below that chord.  The
+result is the hull of the exact points.  Three facts make it the hull of the
+full profile:
 
 - T rounds up.  H is computed in floats, within a few ulps and COLLINEAR_TOL
   of the exact hull, so the margin keeps T at or above j H(log j) exactly.  A
@@ -46,12 +48,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import Graph
-from .profiles import IsoProfile, _grow, _per_distinct, _search, profile_closed_form, resolve_profiles
+from .profiles import IsoProfile, _per_distinct, _search, resolve_profile
 
 LOG_TOL = 1e-12
 COLLINEAR_TOL = 1e-12
 DECISION_TOL = 1e-9  # relative margin of a decision threshold over the float hull
-SMALL = 3  # sizes searched exactly before the decisions
 
 LEFT_INFINITE = float("-inf")  # sentinel: subdifferential is unbounded below at x = 0
 
@@ -168,15 +169,10 @@ def _hull_first(g: Graph) -> ConvexMinorant:
     """build_minorant(profile_bruteforce(g)) from the few sizes that decide it
     (module docstring), on one budget."""
     m = g.vertex_count
-    exact = {m: 0}  # size: least boundary
-    spent, rows, seed = 0, [], (0, 0)  # sizes ascending: m // 2 is searched last
-    for j in sorted({min(k, m - k) for k in range(1, min(SMALL, m - 1) + 1)}):
-        incumbent, grown = _grow(g, *seed, j)  # values only: a tie with the grown set is pruned
-        value, mask, spent = _search(g, j, incumbent, None, spent, rows, j < m // 2, j)
-        seed = value, mask or grown
-        exact[j] = exact[m - j] = value
+    exact = {1: min(g.degrees), m: 0}  # size: least boundary
     psi = _hull(m, exact)
-    for j in range(SMALL + 1, m // 2 + 1):
+    spent, rows = 0, []  # sizes ascending: m // 2 is searched last
+    for j in range(2, m // 2 + 1):
         bar = max(_threshold(psi, j), _threshold(psi, m - j))
         value, mask, spent = _search(g, j, bar, None, spent, rows, j < m // 2, j)
         if mask:  # a j-set below the bar: the search found the exact b(j)
@@ -186,29 +182,17 @@ def _hull_first(g: Graph) -> ConvexMinorant:
 
 
 def resolve_minorants(graphs, exhaustive: bool = False) -> tuple[ConvexMinorant, ...]:
-    """One minorant per graph, equal graphs sharing one object: a family
-    graph's from its closed form, any other graph's hull-first (module
-    docstring).  exhaustive: the hull of each graph's full profile, searched
-    uncompressed for a family graph too (resolve_profiles), which the closed
-    forms and the hull-first minorants can be checked against."""
-    if exhaustive:
-        return build_minorants(resolve_profiles(graphs, exhaustive))
-
+    """One minorant per graph, equal graphs sharing one object: the hull of
+    resolve_profile(g, exhaustive), but a non-family graph's is built
+    hull-first (module docstring) unless exhaustive.  exhaustive: every
+    graph's full profile, searched uncompressed, which the closed forms and
+    the hull-first minorants can be checked against."""
     def solve(g: Graph) -> ConvexMinorant:
-        return _hull_first(g) if g.family is None else build_minorant(profile_closed_form(*g.family))
+        if g.family is None and not exhaustive:
+            return _hull_first(g)
+        return build_minorant(resolve_profile(g, exhaustive))
 
     return _per_distinct(graphs, solve)
-
-
-def build_minorants(profiles) -> tuple[ConvexMinorant, ...]:
-    """build_minorant per profile; repeats of one profile object share one
-    minorant.  resolve_profiles guarantees such repeats for equal factors."""
-    profiles = tuple(profiles)
-    built: dict[int, ConvexMinorant] = {}
-    for p in profiles:
-        if id(p) not in built:
-            built[id(p)] = build_minorant(p)
-    return tuple(built[id(p)] for p in profiles)
 
 
 @dataclass(frozen=True)

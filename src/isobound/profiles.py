@@ -28,7 +28,7 @@ by the vertex of least boundary increase (the least on a tie) to k vertices.
 The first minimizer in lexicographic order still beats every set before it,
 so values and witnesses are those of an unseeded search.  The incumbent is a
 parameter of _search: the hull-first minorants (minorants module) fix it at
-the grown set's boundary, which prunes ties, or at a decision threshold.
+a decision threshold.
 
 Work is counted in list elements, not nodes: an element costs 0.03-0.25 us
 (one core of a 2-core Xeon, CPython 3.11) across searches whose node counts
@@ -320,16 +320,10 @@ def _per_distinct(graphs, solve) -> tuple:
     return tuple(solved[key] for key in keys)
 
 
-def resolve_profiles(graphs, exhaustive: bool = False) -> tuple[IsoProfile, ...]:
-    """The one choice between closed form and search: one profile per graph,
-    each distinct graph solved once, the closed form for family graphs unless
-    exhaustive, otherwise profile_bruteforce, uncompressed when exhaustive.
-
-    Contract: equal graphs map to the identical IsoProfile object, so callers
-    (build_minorants) can deduplicate by identity without hashing profiles."""
-    def solve(g: Graph) -> IsoProfile:
-        if exhaustive:
-            return profile_bruteforce(replace(g, down=()))
-        return profile_bruteforce(g) if g.family is None else profile_closed_form(*g.family)
-
-    return _per_distinct(graphs, solve)
+def resolve_profile(g: Graph, exhaustive: bool = False) -> IsoProfile:
+    """The one choice between closed form and search: a family graph's closed
+    form unless exhaustive, otherwise profile_bruteforce, uncompressed when
+    exhaustive.  Callers that take many graphs pass it to _per_distinct."""
+    if exhaustive:
+        return profile_bruteforce(replace(g, down=()))
+    return profile_bruteforce(g) if g.family is None else profile_closed_form(*g.family)

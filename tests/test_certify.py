@@ -40,7 +40,7 @@ from isobound import (
 from isobound import certify, profiles
 from isobound.certify import _beta_convergents, _convergents, _dirichlet_pair, _nested
 from isobound.cli import run
-from isobound.profiles import resolve_profiles
+from isobound.profiles import resolve_profile
 
 GOLDEN = Path(__file__).parent / "golden"
 C5_INTERPOLATED_MID = 2.2772937677064276
@@ -129,7 +129,7 @@ class TestVerifyTheorem:
 
     def test_oversized_product_refused_before_profiles(self, monkeypatch):
         # a factor's profile may search for seconds; the product's masks are refused first
-        monkeypatch.setattr(certify, "resolve_profiles", lambda graphs: pytest.fail("factors profiled"))
+        monkeypatch.setattr(certify, "resolve_profile", lambda g: pytest.fail("factors profiled"))
         with pytest.raises(CapExceededError, match="product of 20000 vertices charges"):
             verify_theorem(parse_product_spec("path:20 x path:1000"), [3])
 
@@ -190,7 +190,7 @@ class TestNestedFactors:
     that the chain is its prefixes, and compresses its coordinate."""
 
     def test_chain_factor_is_relabelled(self):
-        (profile,) = resolve_profiles([CHAIN])
+        profile = resolve_profile(CHAIN)
         g = _nested(CHAIN, profile)
         assert g.nested and not CHAIN.nested
         order = (0, 3, 1, 2, 4)  # old vertex order[j] is new vertex j
@@ -202,7 +202,7 @@ class TestNestedFactors:
     @pytest.mark.parametrize("g", [K2_K1, petersen(), generate("cycle", 5)], ids=lambda g: g.label)
     def test_returned_as_is(self, g):
         # K2 + K1 and Petersen (W_7 is not inside W_8) have no chain; a family is nested already
-        (profile,) = resolve_profiles([g])
+        profile = resolve_profile(g)
         assert _nested(g, profile) is g
         assert g.nested == (g.family is not None)
 

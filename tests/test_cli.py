@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -419,6 +420,10 @@ class TestCertifyQ71Command:
         assert doc["sizes"] == ["1", "4", "25"]
         assert doc["residual"] == pytest.approx(-0.27729376770642755, rel=1e-9)
 
+    def test_csv_fields_quoted_as_rfc4180(self):
+        assert [cli._csv_field(c) for c in ("a", 'say "hi"', "1,2", 0.5)] == ["a", '"say ""hi"""', '"1,2"', "0.5"]
+        assert next(csv.reader([cli._csv_field('say "hi", twice')])) == ['say "hi", twice']
+
     def test_human(self, capsys):
         assert run(["certify-q71", "cycle:7", "--power", "3"]) == 0
         assert "residual" in capsys.readouterr().out
@@ -457,6 +462,10 @@ class TestCertifyQ72Command:
         assert doc["slabs_optimal"] is True
         assert run(["certify-q72", "complete:4"]) == 0
         assert "edge-optimal" in capsys.readouterr().out
+        assert run(["certify-q72", "complete:4", "--output", "csv"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[0] == ["key", "value"]
+        assert dict(rows[1:]) == {k: str(v) for k, v in doc.items()}
 
     def test_rejects_products(self, capsys):
         assert run(["certify-q72", "path:3 x path:3"]) == 2
@@ -501,9 +510,9 @@ class TestDistinctFactors:
         p = tmp_path / "g.txt"
         p.write_text("13\n" + "".join(f"{v} {v + 1}\n" for v in range(12)) + "0 12\n0 6\n")
         assert run(["bound", f"file:{p}^4", "--size", "100"]) == 0
-        # one hull-first minorant of one graph: sizes 1-3 exactly, then one
-        # decision at each of 4-6 (sizes 7-12 are their complements; 13 is free)
-        assert searched == [13] * 6
+        # one hull-first minorant of one graph: one decision at each of sizes
+        # 2-6 (sizes 7-11 are their complements; 1, 12 and 13 are free)
+        assert searched == [13] * 5
 
     @pytest.mark.parametrize("spec,vertices", [("complete:2^15", 2**15), ("path:13^4", 13**4)])
     def test_family_factors_never_searched(self, spec, vertices, searched, capsys):

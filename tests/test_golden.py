@@ -8,6 +8,7 @@ To regenerate after an intended output change:
     ISOBOUND_REGEN_GOLDEN=1 python3 -m pytest tests/test_golden.py
 """
 
+import csv
 import os
 from pathlib import Path
 
@@ -94,6 +95,12 @@ def _expand():
 
 
 PARAMS = list(_expand())
+
+
+def test_csv_rows_match_their_header():
+    for path in GOLDEN.glob("*.csv.out"):
+        rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+        assert {len(r) for r in rows} == {len(rows[0])}, path.name
 
 
 @pytest.mark.parametrize("name,argv,code", PARAMS, ids=[p[0] for p in PARAMS])

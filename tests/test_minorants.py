@@ -21,7 +21,7 @@ from isobound import (
 )
 from isobound import minorants, profiles
 from isobound.minorants import LEFT_INFINITE, LOG_TOL, resolve_minorants
-from isobound.profiles import resolve_profiles
+from isobound.profiles import resolve_profile
 
 from oracles import one_sided_derivatives_by_scan, regular_summary_by_scan
 from test_profiles import seed_products
@@ -276,7 +276,7 @@ class TestShallowestChord:
         graphs = 0
         for g in regular_connected_sweep():
             assert g.is_regular() and g.is_connected()
-            (prof,) = resolve_profiles([g])
+            prof = resolve_profile(g)
             psi = build_minorant(prof)
             s = regular_summary(g, psi)
             assert astuple(s) == regular_summary_by_scan(g, prof), g.label
@@ -306,6 +306,25 @@ def hull_first_randoms():
     for i in range(24):
         m, density = 8 + 18 * i // 23, (0.1, 0.25, 0.4, 0.55, 0.7)[i % 5]
         yield pytest.param(random_graph(2300 + i, m, density), id=f"random:{m}:{density}")
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(offset + u, offset + v) for u in range(g.vertex_count) for v in g.adjacency[u] if u < v]
+        offset += g.vertex_count
+    return Graph.from_edges(offset, edges, label=" + ".join(g.label for g in graphs))
+
+
+def disconnected_graphs():
+    """An isolated vertex makes b(1) = b(m - 1) = 0; a component of k vertices
+    makes b(k) = 0 with b(1) > 0."""
+    k1 = Graph.from_edges(1, [], label="K1")
+    yield disjoint_union(random_graph(11, 11, 0.4), k1)
+    yield disjoint_union(k1, generate("path", 2), k1)
+    yield disjoint_union(random_graph(12, 9, 0.5), random_graph(13, 6, 0.7))
+    yield disjoint_union(generate("cycle", 5), generate("complete", 4))
+    yield Graph.from_edges(6, [], label="empty:6")
 
 
 class TestHullFirst:
@@ -356,9 +375,13 @@ class TestHullFirst:
         with pytest.raises(CapExceededError, match="search for size 12 on 40 vertices charged 100255 units"):
             resolve_minorants([g])
 
+    @pytest.mark.parametrize("g", disconnected_graphs(), ids=lambda g: g.label)
+    def test_disconnected_graphs(self, g):
+        assert resolve_minorants([g]) == (build_minorant(profile_bruteforce(g)),)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8])
     def test_small_graphs(self, m):
-        # sizes up to 3 cover every pair {k, m - k} of a graph of at most 7
-        # vertices; from 8 on, the decisions start
+        # b(1) = b(m - 1) is the least degree, so a graph of at most 3
+        # vertices takes no search; from 4 on, the decisions start
         g = random_graph(m, m, 0.5)
         assert resolve_minorants([g]) == (build_minorant(profile_bruteforce(g)),)

@@ -27,7 +27,7 @@ from isobound import (
 )
 from isobound import profiles
 from isobound.cli import run
-from isobound.profiles import nested_boundary, resolve_profiles
+from isobound.profiles import _per_distinct, nested_boundary, resolve_profile
 
 from oracles import boundary_by_recount, min_boundary_by_enumeration
 
@@ -135,9 +135,10 @@ class TestClosedFormAgainstBruteForce:
 
 class TestResolveProfiles:
     def test_equal_graphs_share_one_profile_object(self):
-        # the contract build_minorants relies on to build one minorant per
-        # distinct factor: equal graphs (Graph equality, label included), even
-        # as separate objects, map to the identical IsoProfile
+        # the contract verify_theorem relies on to build one profile and one
+        # minorant per distinct factor: through _per_distinct, equal graphs
+        # (Graph equality, label included), even as separate objects, map to
+        # the identical IsoProfile
         ring = [(v, (v + 1) % 7) for v in range(7)]
         graphs = [
             generate("cycle", 8),
@@ -146,15 +147,15 @@ class TestResolveProfiles:
             Graph.from_edges(7, ring, label="ring"),
             generate("path", 8),
         ]
-        out = resolve_profiles(graphs)
+        out = _per_distinct(graphs, resolve_profile)
         assert out[0] is out[2]
         assert out[1] is out[3]
         assert len({id(p) for p in out}) == 3
 
     def test_family_closed_form_equals_exhaustive_search(self):
-        (prof,) = resolve_profiles([generate("path", 40)])
+        prof = resolve_profile(generate("path", 40))
         assert prof == profile_closed_form("path", 40)
-        (searched,) = resolve_profiles([generate("path", 40)], exhaustive=True)
+        searched = resolve_profile(generate("path", 40), exhaustive=True)
         assert searched == prof
 
 
