@@ -4,11 +4,15 @@ verify_theorem compares the allocation bound against the true minimum boundary
 at each size; the bound must never exceed the truth.  A set and its complement
 have the same boundary, so size k is read at j = min(k, m - k).  A truth is
 read from the factors where it is known exactly: 0 at j = 0, the sum of the
-factors' least degrees at j = 1, and on a clique product (every factor
-complete, so Hamming graphs and hypercubes) the nested lexicographic order's
-value at every size.  Only the other sizes materialize the product and search
-it, so a clique product of any size, and any product at sizes 1, m - 1 and m,
-is verified without building it.
+factors' least degrees at j = 1, on a clique product (every factor complete,
+so Hamming graphs and hypercubes) the nested lexicographic order's value at
+every size, and on two nested factors (families, or factors whose canonical
+witnesses chain) the fibre floor F at every size (profiles module docstring).
+Only the other sizes materialize the product and search it, so a clique
+product of any size, a grid or torus of two factors, and any product at sizes
+1, m - 1 and m, is verified without building it.  Two factors that are not
+both nested still get F as a floor: a grown set that meets it needs no
+search, and a search stops at the first set that reaches it.
 
 q71_witness certifies that size -> minimum boundary is not linear in log size
 on a power G^n whenever psi_G has at least two linear pieces: three sizes of
@@ -37,7 +41,7 @@ from dataclasses import dataclass, replace
 from .allocation import TIGHT_REL_TOL, theorem_bound
 from .graphs import SEARCH_BUDGET, CapExceededError, Graph, ProductSpec, cartesian_product, check_product
 from .minorants import ConvexMinorant, RegularSummary, build_minorant
-from .profiles import IsoProfile, _per_distinct, _search_sizes, nested_boundary, resolve_profile
+from .profiles import IsoProfile, _per_distinct, _search_sizes, fibre_floor, nested_boundary, resolve_profile
 
 SIZE_UNITS = 1000  # budget units per reported size: 60-70 us each, 2-core Xeon, CPython 3.11
 EPS_FLOOR = 1e-12
@@ -111,17 +115,21 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     SIZE_UNITS, its cost in budget units, and a report over SEARCH_BUDGET is
     refused before anything runs.  Size k is read through j = min(k, m - k),
     as b(k) = b(m - k).  Truths come from _exact_truth where the factors
-    determine them, or from the profile of a single factor.  Only when some
-    size is left of a product of two or more factors is it materialized,
-    once and before any search (check_product refuses it up front when too
-    large to search, before the factors are profiled), from the factors as
+    determine them, or from the profile of a single factor.  When some size is
+    left of a product of two or more factors, check_product refuses the
+    product up front if it is too large to search, before the factors are
+    profiled, whether or not it is built.  The factors are then taken as
     _nested relabels them: a factor whose canonical witnesses form a chain gets
-    it as its prefixes, so its coordinate is compressed (profiles module
-    docstring).  Only values are reported, and they do not depend on labels.
-    _search_sizes finds the values left on one budget, which may refuse sizes
-    that each fit alone; a refusal names the size asked.  Factor profiles come
-    from resolve_profile, so family factors of any size use their closed form,
-    and equal factors share one profile and one minorant.
+    it as its prefixes.  Two factors give the fibre floor F up to the largest
+    size left, charged on its own budget; when both are nested, F is every
+    truth left and no product is built.  Otherwise the product is materialized
+    once, its nested coordinates compressed (profiles module docstring), and
+    _search_sizes finds the values left on one budget, F as its floors on two
+    factors; one budget may refuse sizes that each fit alone, and a refusal
+    names the size asked.  Only values are reported, and they do not depend on
+    labels.  Factor profiles come from resolve_profile, so family factors of
+    any size use their closed form, and equal factors share one profile and
+    one minorant.
     """
     m = spec.vertex_count
     ks = None if ks is None else tuple(ks)
@@ -146,8 +154,15 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     if names and len(spec.factors) == 1:  # the factor's own profile holds every truth
         truths.update((j, profiles[0].boundary(j)) for j in names)
     elif names:  # values do not depend on labels, so the searched factors may be relabelled
-        product = cartesian_product(ProductSpec(tuple(map(_nested, spec.factors, profiles))))
-        truths.update((j, value) for j, (value, _) in _search_sizes(product, list(names), names).items())
+        factors = tuple(map(_nested, spec.factors, profiles))
+        floors = None if len(factors) > 2 else fibre_floor(
+            *((0, *(e.min_boundary for e in p.entries)) for p in profiles), max(names))
+        if floors and all(f.nested for f in factors):  # F is exact: no product
+            truths.update((j, floors[j]) for j in names)
+        else:
+            product = cartesian_product(ProductSpec(factors))
+            found = _search_sizes(product, list(names), names, floors)
+            truths.update((j, value) for j, (value, _) in found.items())
     entries = []
     for k in ks:
         truth = truths[min(k, m - k)]

@@ -68,6 +68,29 @@ witness's complement, takes no child past the first w whose down[w] meets the
 set (w is the last), as leaving w out would keep w - stride_i in.  A prefix of
 a down-set is a down-set, so the canonical witness is still met, and nodes are
 charged as before.
+
+The fibre floor F bounds b(k) on a product G x H of a and b vertices with no
+search.  Let A have fibres A_g = A & ({g} x H) of sizes a_g, and lam those
+sizes sorted decreasingly.  The edges inside fibres number at least
+sum_i b_H(lam_i).  An edge g ~ g' of G carries |A_g ^ A_g'| >= |a_g - a_g'|
+edges between two fibres, and summed over G's edges that is
+sum_t e_G(L_t, L_t^c), L_t = {g : a_g >= t} (each edge counts the t between
+its two sizes), at least sum_t b_G(|L_t|) = sum_i (lam_i - lam_{i+1}) b_G(i).
+So b(k) >= F(k), the least of
+
+    sum_i b_H(lam_i) + sum_i (lam_i - lam_{i+1}) b_G(i)
+
+over partitions lam of k into at most a parts of at most b (lam_{a+1} = 0).
+Reading lam by columns swaps the two sums, so F is symmetric in G and H, and
+any integer floors on b_G and b_H keep it sound.  On two nested factors F is
+exact: the down-set whose row i (in G's order) is H's prefix of lam_i vertices
+has prefixes for fibres and for levels L_t, so every inequality above is an
+equality (the compression of the previous paragraph).  verify_theorem reads
+such a pair's truths from F and builds no product.  On other pairs
+_search_sizes takes F(k) as a floor: a grown seed whose boundary meets it is a
+minimizer, taken with no search, and a forward search stops at the first leaf
+reaching it.  Both give values, not canonical witnesses, so only
+verify_theorem, which reports values, passes floors.
 """
 
 from __future__ import annotations
@@ -138,12 +161,14 @@ def _search(g: Graph, k: int, incumbent: int, target: int | None, spent: int, ro
     """(least boundary below incumbent, its first witness mask, units spent)
     over k-subsets, k < m, from `spent` units on; a forward search below which
     no set lies returns (incumbent, 0, spent), and size 1 is answered exactly.
-    Given target = b(m - k) (m/2 < k), a complement search that stops at the
-    target; more: a search follows; a refusal names the size asked."""
+    A size above m/2 is searched by complement.  The search stops at the first
+    leaf reaching target: b(m - k) for a complement search, a floor on b(k)
+    (or None) for a forward one.  more: a search follows; a refusal names the
+    size asked."""
     m = g.vertex_count
     deg = g.degrees
     full = (1 << m) - 1
-    flip = target is not None
+    flip = 2 * k > m
     size = m - k if flip else k  # the size searched
     if size == 1:  # no adjacency masks: they cost O(m^2) bits on a large product
         best = min(deg)
@@ -235,18 +260,28 @@ def _search(g: Graph, k: int, incumbent: int, target: int | None, spent: int, ro
     return best_val, full ^ best_mask if flip else best_mask, spent
 
 
-def _search_sizes(g: Graph, ks, names=None) -> dict[int, tuple[int, int]]:
+def _search_sizes(g: Graph, ks, names=None, floors=None) -> dict[int, tuple[int, int]]:
     """(min boundary, witness mask) at each size in ks, on one budget and row
     table; a refusal at size k names names[k] if given (verify_theorem's size
-    m - k), else k."""
+    m - k), else k.  floors[j] <= b(j) at each j = min(k, m - k), k in ks, if
+    given: a grown seed that meets it is taken, a search stops at it, and the
+    masks are minimizers, not canonical witnesses (module docstring)."""
     m = g.vertex_count
     found, spent, rows, seed = {m: (0, (1 << m) - 1)}, 0, [], (0, 0)
     names = names or {}
     # the sizes up to m/2 ascending, each seeded by the last witness; then those above by complement
     order = sorted({min(k, m - k) for k in ks} - {0}) + sorted({k for k in ks if m - k < k < m})
     for k in order:
-        target = found[m - k][0] if 2 * k > m else None
-        incumbent = (_grow(g, *seed, k)[0] if target is None else target) + 1  # ties are found
+        if 2 * k > m:
+            target = found[m - k][0]
+            incumbent = target + 1
+        else:
+            grown = _grow(g, *seed, k)
+            target = floors[k] if floors else None
+            if grown[0] == target:  # a real set at the floor: b(k), with no search
+                found[k] = seed = grown
+                continue
+            incumbent = grown[0] + 1  # ties are found
         value, mask, spent = _search(g, k, incumbent, target, spent, rows, k != order[-1], names.get(k, k))
         found[k] = seed = value, mask
     return {k: found[k] for k in ks}
@@ -306,6 +341,38 @@ def nested_boundary(sizes, k: int) -> int:
         q, r = divmod(r, place)
         inner += q * (place * rest_degree // 2) + r * comb(q + 1, 2) + (place - r) * comb(q, 2)
     return k * degree - 2 * inner
+
+
+def fibre_floor(b_g, b_h, top: int) -> tuple[int, ...]:
+    """F(0..top) on G x H (module docstring) from b_g[i] <= b_G(i), i = 0..a,
+    and b_h[j] <= b_H(j), j = 0..b, with b_g[0] = b_h[0] = 0 and top <= ab.
+
+    A DP over rows i = a..1 keeps, for each value v of lam_i and sum s of
+    lam_i..lam_a, the least cost of those rows: row i adds b_h[v] + v b_g[i]
+    to the least cost of rows i+1..a with sum s - v and lam_{i+1} = u <= v,
+    less u b_g[i], which a prefix minimum over u gives.  That is a (b + 1)
+    (top + 1) steps, G and H swapped when that is cheaper (F is symmetric).
+    The count is charged in closed form: over SEARCH_BUDGET, it is refused
+    before anything is allocated."""
+    a, b = len(b_g) - 1, len(b_h) - 1
+    if not 0 <= top <= a * b:
+        raise ValueError(f"size {top} outside 0..{a * b}")
+    if b < a:  # fewer rows, fewer steps
+        a, b, b_g, b_h = b, a, b_h, b_g
+    if (units := a * (b + 1) * (top + 1)) > SEARCH_BUDGET:
+        raise CapExceededError(
+            f"fibre floor of {a} x {b} vertices up to size {top} charges {units} units of work,"
+            f" over the budget of {SEARCH_BUDGET}"
+        )
+    inf = float("inf")
+    # cost[s][v]: the least cost of the rows below with lam = v at the top and sum s
+    cost = [[0] + [inf] * b] + [[inf] * (b + 1) for _ in range(top)]
+    for i in range(a, 0, -1):
+        g = b_g[i]
+        below = [list(accumulate((c - u * g for u, c in enumerate(r)), min)) for r in cost]
+        cost = [[b_h[v] + v * g + below[s - v][v] for v in range(min(s, b) + 1)] + [inf] * (b - min(s, b))
+                for s in range(top + 1)]
+    return tuple(min(r) for r in cost)
 
 
 def _per_distinct(graphs, solve) -> tuple:

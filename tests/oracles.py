@@ -5,9 +5,10 @@ oracles are exhaustive searches (a uniform grid sweep and a knot sweep), the
 boundary oracle recounts edges from adjacency lists and a plain set, the
 vertex-set builders place members and product coordinates bit by bit, the
 minimum-boundary oracle walks every k-subset with itertools.combinations,
-the Dirichlet-pair oracle scans t = 1, 2, ... one by one, the derivative
-oracle scans the knots of a minorant in order, and the shallowest-chord
-oracle scans every size k of a profile.
+the fibre-floor oracle walks every partition in its box, the Dirichlet-pair
+oracle scans t = 1, 2, ... one by one, the derivative oracle scans the knots
+of a minorant in order, and the shallowest-chord oracle scans every size k of
+a profile.
 """
 
 from __future__ import annotations
@@ -64,6 +65,21 @@ def min_boundary_by_enumeration(g, k: int) -> tuple[int, tuple[int, ...]]:
         if b < best:
             best, witness = b, members
     return best, witness
+
+
+def fibre_floor_by_partitions(b_g, b_h, k: int) -> int:
+    """The least sum_i b_h[lam_i] + sum_i (lam_i - lam_{i+1}) b_g[i] over every
+    non-increasing lam_1, ..., lam_a in 0..b with sum k (lam_{a+1} = 0), each
+    listed by itertools.combinations_with_replacement."""
+    a, b = len(b_g) - 1, len(b_h) - 1
+    best = None
+    for parts in itertools.combinations_with_replacement(range(b, -1, -1), a):
+        if sum(parts) != k:
+            continue
+        lam = (*parts, 0)
+        value = sum(b_h[lam[i]] + (lam[i] - lam[i + 1]) * b_g[i + 1] for i in range(a))
+        best = value if best is None else min(best, value)
+    return best
 
 
 def _tables(minorants, step):

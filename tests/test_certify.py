@@ -1,9 +1,11 @@
+import functools
 import itertools
 import json
 import math
 import random
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     boundary_by_recount,
+    fibre_floor_by_partitions,
     first_dirichlet_pair_by_scan,
     min_boundary_by_enumeration,
     product_vertex_set,
@@ -40,7 +43,7 @@ from isobound import (
 from isobound import certify, profiles
 from isobound.certify import _beta_convergents, _convergents, _dirichlet_pair, _nested
 from isobound.cli import run
-from isobound.profiles import resolve_profile
+from isobound.profiles import fibre_floor, resolve_profile
 
 GOLDEN = Path(__file__).parent / "golden"
 C5_INTERPOLATED_MID = 2.2772937677064276
@@ -222,6 +225,144 @@ class TestNestedFactors:
         plain = profiles._search_sizes(replace(cartesian_product(spec), down=()), range(1, m // 2 + 1))
         truths = [e.true_min_boundary for e in verify_theorem(spec).entries]
         assert truths == [plain[min(k, m - k)][0] if k < m else 0 for k in range(1, m + 1)]
+
+
+def boundaries(g):
+    """(0, b(1), ..., b(m)) of a factor, from its profile."""
+    return (0, *(e.min_boundary for e in resolve_profile(g).entries))
+
+
+def fibre_pairs():
+    """Every two-factor product of random_products(), five named pairs, and
+    three with the relabelled factor CHAIN."""
+    out = [p for p in random_products() if len(p.values[0].factors) == 2]
+    named = [
+        (generate("cycle", 5), generate("cycle", 7)),
+        (generate("path", 5), generate("path", 6)),
+        (generate("complete", 3), generate("path", 7)),
+        (generate("cycle", 4), generate("cycle", 8)),
+        (petersen(), generate("cycle", 3)),
+        (CHAIN, generate("path", 4)),
+        (CHAIN, CHAIN),
+        (generate("complete", 3), CHAIN),
+    ]
+    out += [pytest.param(ProductSpec(pair), id=ProductSpec(pair).label()) for pair in named]
+    return out
+
+
+@functools.cache
+def plain_truths(spec):
+    """b(0..m/2) of the product from a search without compression."""
+    m = spec.vertex_count
+    found = profiles._search_sizes(replace(cartesian_product(spec), down=()), range(1, m // 2 + 1))
+    return (0, *(found[k][0] for k in range(1, m // 2 + 1)))
+
+
+def nested_pair(spec):
+    return all(_nested(g, resolve_profile(g)).nested for g in spec.factors)
+
+
+class TestFibreFloor:
+    """profiles.fibre_floor: the integer floor F of a two-factor product from
+    its factors' profiles, exact when both are nested (profiles module
+    docstring), and verify's use of it."""
+
+    @pytest.mark.parametrize("spec", fibre_pairs())
+    def test_below_a_plain_search(self, spec):
+        m = spec.vertex_count
+        floors = fibre_floor(*map(boundaries, spec.factors), m // 2)
+        truths = plain_truths(spec)
+        assert len(floors) == m // 2 + 1
+        assert all(f <= t for f, t in zip(floors, truths))
+
+    @pytest.mark.parametrize("spec", [p for p in fibre_pairs() if nested_pair(p.values[0])])
+    def test_exact_on_nested_pairs(self, spec):
+        m = spec.vertex_count
+        assert fibre_floor(*map(boundaries, spec.factors), m // 2) == plain_truths(spec)
+
+    def test_nested_pairs_are_covered(self):
+        # families, CHAIN relabelled and two random pairs
+        assert sum(nested_pair(p.values[0]) for p in fibre_pairs()) == 9
+
+    @pytest.mark.parametrize("spec", fibre_pairs())
+    def test_symmetric(self, spec):
+        g, h = map(boundaries, spec.factors)
+        m = spec.vertex_count
+        assert fibre_floor(g, h, m) == fibre_floor(h, g, m)
+
+    def test_matches_the_partition_oracle(self):
+        # arbitrary integer floors, not only profiles: F is the least over partitions
+        rng = random.Random(2600)
+        for _ in range(60):
+            a, b = rng.randint(1, 5), rng.randint(1, 5)
+            b_g = [0] + [rng.randint(0, 9) for _ in range(a)]
+            b_h = [0] + [rng.randint(0, 9) for _ in range(b)]
+            floors = fibre_floor(b_g, b_h, a * b)
+            assert floors == tuple(fibre_floor_by_partitions(b_g, b_h, k) for k in range(a * b + 1))
+
+    @pytest.mark.parametrize("top", [-1, 21])
+    def test_size_out_of_range(self, top):
+        with pytest.raises(ValueError, match="outside 0..20"):
+            fibre_floor(boundaries(generate("path", 4)), boundaries(generate("path", 5)), top)
+
+    def test_refused_before_allocation(self, monkeypatch):
+        # P4 has fewer rows, so the DP swaps the factors: 4 rows of 50 + 1 states
+        # at each size 0..200
+        b_g, b_h = boundaries(generate("path", 4)), boundaries(generate("path", 50))
+        units = 4 * 51 * 201
+        monkeypatch.setattr(profiles, "SEARCH_BUDGET", units)
+        assert len(fibre_floor(b_h, b_g, 200)) == 201
+        monkeypatch.setattr(profiles, "SEARCH_BUDGET", units - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match=f"fibre floor of 4 x 50 vertices up to size 200 charges {units} units"):
+                fibre_floor(b_h, b_g, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000  # the DP's first table alone holds 201 lists of 51 entries
+
+    def test_verify_refuses_before_building(self, monkeypatch):
+        # F up to size 9 of P4 x P5 charges 4 * 6 * 10 = 240 units, before any product
+        monkeypatch.setattr(certify, "cartesian_product", lambda spec: pytest.fail("product built"))
+        spec = parse_product_spec("path:4 x path:5")
+        monkeypatch.setattr(profiles, "SEARCH_BUDGET", 239)
+        with pytest.raises(CapExceededError, match="fibre floor of 4 x 5 vertices up to size 9 charges 240"):
+            verify_theorem(spec, [9, 11])
+        monkeypatch.setattr(profiles, "SEARCH_BUDGET", 240)
+        assert [e.true_min_boundary for e in verify_theorem(spec, [9, 11]).entries] == [5, 5]
+
+    def test_nested_pair_builds_no_product(self, monkeypatch):
+        # 4,900 vertices: a search at size 3 is over the budget, F is not
+        monkeypatch.setattr(certify, "cartesian_product", lambda spec: pytest.fail("product built"))
+        report = verify_theorem(parse_product_spec("path:70^2"), [3, 50, 4897])
+        assert [e.true_min_boundary for e in report.entries] == [4, 15, 4]
+        assert report.ok
+
+    def test_floors_cut_the_search(self, monkeypatch):
+        # Petersen has no chain of witnesses, so Petersen x P4 is built; the
+        # grown seed meets F at every size, and no product size is searched
+        searched = []
+        original = profiles._search
+
+        def recording(g, k, *rest):
+            searched.append((g.vertex_count, k))
+            return original(g, k, *rest)
+
+        monkeypatch.setattr(profiles, "_search", recording)
+        spec = ProductSpec((petersen(), generate("path", 4)))
+        truths = [e.true_min_boundary for e in verify_theorem(spec, range(2, 21)).entries]
+        assert searched and all(m == 10 for m, _ in searched)  # Petersen's own profile
+        compressed = profiles._search_sizes(cartesian_product(spec), range(2, 21))  # P4's coordinate
+        assert truths == [compressed[k][0] for k in range(2, 21)]
+
+    @pytest.mark.parametrize("spec", [p for p in fibre_pairs() if not nested_pair(p.values[0])])
+    def test_floor_runs_match_plain_values(self, spec):
+        # a floors run takes grown seeds and stops early: its values are still b(k)
+        m = spec.vertex_count
+        floors = fibre_floor(*map(boundaries, spec.factors), m // 2)
+        found = profiles._search_sizes(cartesian_product(spec), range(1, m // 2 + 1), None, floors)
+        assert (0, *(found[k][0] for k in range(1, m // 2 + 1))) == plain_truths(spec)
 
 
 class TestNonlinearityWitness:

@@ -311,7 +311,8 @@ class TestVerifyCommand:
         assert [e["k"] for e in doc["entries"]] == [1, 3, 9, 27]
 
     def test_size_above_half_searches_its_complement(self, monkeypatch, capsys):
-        # b(15) = b(5) on the 20-vertex grid, so the search runs at size 5
+        # b(15) = b(5) on the 20-vertex product of three paths, so the search
+        # runs at size 5 (two nested factors would take it from the fibre floor)
         searched = []
         original = profiles._search
 
@@ -320,10 +321,10 @@ class TestVerifyCommand:
             return original(g, k, *rest)
 
         monkeypatch.setattr(profiles, "_search", recording)
-        assert run(["verify", "path:4 x path:5", "--sizes", "15", "--output", "json"]) == 0
+        assert run(["verify", "path:2^2 x path:5", "--sizes", "15", "--output", "json"]) == 0
         (entry,) = json.loads(capsys.readouterr().out)["entries"]
         assert searched == [5]
-        assert (entry["k"], entry["true_min_boundary"]) == (15, 5)
+        assert (entry["k"], entry["true_min_boundary"]) == (15, 6)
 
     def test_family_factor_above_search_cap(self, capsys):
         # path:40 takes its closed form, not a search

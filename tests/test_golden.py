@@ -54,6 +54,8 @@ CASES = [
     ("verify_path13_sq", ["verify", "path:13^2", "--sizes", "1,2"], 0),
     ("verify_mixed", ["verify", "path:3 x complete:2"], 0),
     ("verify_prism", ["verify", "file:prism.txt x path:2", "--sizes", "1,3,6,12"], 0),
+    # two nested factors: the fibre floor is the truth, with no product built
+    ("verify_path70_sq", ["verify", "path:70^2", "--sizes", "3"], 0),
     # certificates
     ("q71_cycle5", ["certify-q71", "cycle:5", "--power", "2"], 0),
     ("q71_cycle7", ["certify-q71", "cycle:7", "--power", "3"], 0),
@@ -76,7 +78,8 @@ ERRORS = [
     ("err_compare_small", ["compare", "path:2^2"], 2),
     ("err_verify_all_sizes", ["verify", "complete:2^60"], 2),
     ("err_search_cap", ["profile", "file:g13.txt^2"], 2),
-    ("err_search_budget", ["verify", "path:70^2", "--sizes", "3"], 2),
+    # three factors are still searched: the same 4900 vertices as path:70^2
+    ("err_search_budget", ["verify", "path:70 x path:7 x path:10", "--sizes", "3"], 2),
     ("err_q71_single_piece", ["certify-q71", "complete:4", "--power", "2"], 2),
     ("err_q71_huge_power", ["certify-q71", "cycle:5", "--power", "7000"], 2),
     ("err_q72_product", ["certify-q72", "path:3 x path:3"], 2),

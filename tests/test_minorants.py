@@ -352,6 +352,23 @@ class TestHullFirst:
         assert value < bar <= math.ceil(value * (1 + 1e-9))
         assert bar > value * (1 + 1e-10)
 
+    def test_bar_serves_the_complement(self):
+        # on random hulls, (m - j) H(log(m - j)) <= j H(log j) for j <= m/2,
+        # with a relative gap of at least 0.78 / m below m/2: j's bar is m - j's
+        rng = random.Random(2500)
+        for _ in range(300):
+            m = rng.randint(3, 300)
+            points = {1: rng.randint(0, 40), m: 0}
+            for k in rng.sample(range(2, m), min(m - 2, rng.randint(0, 8))):
+                points[k] = rng.randint(0, 40 * k)
+            psi = minorants._hull(m, points)
+            for j in range(1, m // 2 + 1):
+                near = j * psi.evaluate(math.log(j))
+                far = (m - j) * psi.evaluate(math.log(m - j))
+                assert minorants._threshold(psi, m - j) <= minorants._threshold(psi, j)
+                if 2 * j < m:
+                    assert far <= near * (1 - 0.78 / m)
+
     def test_equal_factors_share_one_object(self):
         g = random_graph(7, 12, 0.4)
         same = Graph.from_edges(12, [(u, v) for u in range(12) for v in g.adjacency[u] if u < v], g.label)

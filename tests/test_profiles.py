@@ -503,9 +503,10 @@ class TestCaps:
         assert "size 3" not in str(refusal.value)
 
     def test_verify_spends_one_budget(self, monkeypatch):
-        # sizes 3, 4 and 5 each fit in 900 units alone (233, 297 and 403);
-        # together they run out in size 5, searched last although listed first
-        spec = parse_product_spec("path:3 x cycle:4")
+        # sizes 3, 4 and 5 each fit in 900 units alone (233, 297 and 475);
+        # together they run out in size 5, searched last although listed first.
+        # Three factors are searched: two nested ones take the fibre floor
+        spec = parse_product_spec("path:3 x complete:2^2")
         monkeypatch.setattr(profiles, "SEARCH_BUDGET", 900)
         for k in (3, 4, 5):
             verify_theorem(spec, [k])
@@ -514,9 +515,9 @@ class TestCaps:
 
     def test_verify_refusal_names_the_size_asked(self, monkeypatch):
         # size 15 is read at 5 = 20 - 15; the refusal names 15 unless 5 is asked too
-        spec = parse_product_spec("path:4 x path:5")
+        spec = parse_product_spec("path:2^2 x path:5")
         monkeypatch.setattr(profiles, "SEARCH_BUDGET", 1000)
-        with pytest.raises(CapExceededError, match="size 15 on 20 vertices charged 1089 units") as refusal:
+        with pytest.raises(CapExceededError, match="size 15 on 20 vertices charged 1085 units") as refusal:
             verify_theorem(spec, [15])
         assert "size 5 " not in str(refusal.value)
         with pytest.raises(CapExceededError, match="size 5 on 20 vertices"):
