@@ -4,15 +4,18 @@ verify_theorem compares the allocation bound against the true minimum boundary
 at each size; the bound must never exceed the truth.  A set and its complement
 have the same boundary, so size k is read at j = min(k, m - k).  A truth is
 read from the factors where it is known exactly: 0 at j = 0, the sum of the
-factors' least degrees at j = 1, on a clique product (every factor complete,
-so Hamming graphs and hypercubes) the nested lexicographic order's value at
-every size, and on two nested factors (families, or factors whose canonical
-witnesses chain) the fibre floor F at every size (profiles module docstring).
-Only the other sizes materialize the product and search it, so a clique
-product of any size, a grid or torus of two factors, and any product at sizes
-1, m - 1 and m, is verified without building it.  Two factors that are not
-both nested still get F as a floor: a grown set that meets it needs no
-search, and a search stops at the first set that reaches it.
+factors' least degrees at j = 1, on a single factor its own profile, on a
+clique product (every factor complete, so Hamming graphs and hypercubes) the
+nested lexicographic order's value at every size, and on two nested factors
+(families, or factors whose canonical witnesses chain) the fibre floor F at
+every size (profiles module docstring).  A family factor gives its
+closed-form boundaries, with no witnesses.  Only the other sizes materialize
+the product and search it, and only a product that would be built is refused
+as one, so one factor of any size, a clique product, a grid or torus of two
+factors, and any product at sizes 1, m - 1 and m, are verified without
+building it.  Two factors that are not both nested still get F as a floor: a
+grown set that meets it needs no search, and a search stops at the first set
+that reaches it.
 
 q71_witness certifies that size -> minimum boundary is not linear in log size
 on a power G^n whenever psi_G has at least two linear pieces: three sizes of
@@ -40,8 +43,9 @@ from dataclasses import dataclass, replace
 
 from .allocation import TIGHT_REL_TOL, theorem_bound
 from .graphs import SEARCH_BUDGET, CapExceededError, Graph, ProductSpec, cartesian_product, check_product
-from .minorants import ConvexMinorant, RegularSummary, build_minorant
-from .profiles import IsoProfile, _per_distinct, _search_sizes, fibre_floor, nested_boundary, resolve_profile
+from .minorants import ConvexMinorant, RegularSummary, _hull
+from .profiles import (IsoProfile, _per_distinct, _search_sizes, closed_form_boundaries, fibre_floor,
+                       nested_boundary, resolve_profile)
 
 SIZE_UNITS = 1000  # budget units per reported size: 60-70 us each, 2-core Xeon, CPython 3.11
 EPS_FLOOR = 1e-12
@@ -108,28 +112,33 @@ def _nested(g: Graph, profile: IsoProfile) -> Graph:
     return replace(g, adjacency=adjacency, nested=True, down=())  # g's own masks follow its old labels
 
 
+def _solve_factor(g: Graph) -> tuple[Graph, dict[int, int], ConvexMinorant]:
+    """(g as _nested relabels it, its boundaries b(0..m), its minorant)."""
+    if g.family is not None:  # nested already; its closed form builds no witnesses
+        b = closed_form_boundaries(*g.family)
+    else:
+        profile = resolve_profile(g)
+        g, b = _nested(g, profile), {e.k: e.min_boundary for e in profile.entries}
+    return g, (0, *b.values()), _hull(g.vertex_count, b)
+
+
 def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
     """Exact truth vs allocation bound at each size of a product.
 
     With ks=None every size is checked.  Each reported size is charged
     SIZE_UNITS, its cost in budget units, and a report over SEARCH_BUDGET is
-    refused before anything runs.  Size k is read through j = min(k, m - k),
-    as b(k) = b(m - k).  Truths come from _exact_truth where the factors
-    determine them, or from the profile of a single factor.  When some size is
-    left of a product of two or more factors, check_product refuses the
-    product up front if it is too large to search, before the factors are
-    profiled, whether or not it is built.  The factors are then taken as
-    _nested relabels them: a factor whose canonical witnesses form a chain gets
-    it as its prefixes.  Two factors give the fibre floor F up to the largest
-    size left, charged on its own budget; when both are nested, F is every
-    truth left and no product is built.  Otherwise the product is materialized
-    once, its nested coordinates compressed (profiles module docstring), and
-    _search_sizes finds the values left on one budget, F as its floors on two
-    factors; one budget may refuse sizes that each fit alone, and a refusal
-    names the size asked.  Only values are reported, and they do not depend on
-    labels.  Factor profiles come from resolve_profile, so family factors of
-    any size use their closed form, and equal factors share one profile and
-    one minorant.
+    refused before anything runs.  Truths are read as the module docstring
+    says.  When some size is left, check_product refuses a product too large
+    to search before any factor is solved, whether or not it is built; it
+    passes one factor, and two factors nested by construction skip it, as F
+    answers them.  _solve_factor relabels a non-family factor as _nested does
+    (values do not depend on labels), and equal factors share one solution.
+    Two factors give F up to the largest size left, on its own budget; when
+    both are nested, F is every truth left.  Otherwise the product is
+    materialized once, its nested coordinates compressed (profiles module
+    docstring), and _search_sizes finds the values left on one budget, F as
+    its floors on two factors; one budget may refuse sizes that each fit
+    alone, and a refusal names the size asked.
     """
     m = spec.vertex_count
     ks = None if ks is None else tuple(ks)
@@ -147,16 +156,13 @@ def verify_theorem(spec: ProductSpec, ks=None) -> VerificationReport:
         raise ValueError(f"size {bad} outside 1..{m}")
     truths = {j: _exact_truth(spec, j) for j in (min(k, m - k) for k in ks)}
     names = {min(k, m - k): k for k in ks if truths[min(k, m - k)] is None}  # j searched: k asked
-    if names:  # a factor's profile may search for seconds: refuse the product first
-        check_product(spec)
-    pairs = _per_distinct(spec.factors, lambda g: (p := resolve_profile(g), build_minorant(p)))
-    profiles, minorants = zip(*pairs)
-    if names and len(spec.factors) == 1:  # the factor's own profile holds every truth
-        truths.update((j, profiles[0].boundary(j)) for j in names)
-    elif names:  # values do not depend on labels, so the searched factors may be relabelled
-        factors = tuple(map(_nested, spec.factors, profiles))
-        floors = None if len(factors) > 2 else fibre_floor(
-            *((0, *(e.min_boundary for e in p.entries)) for p in profiles), max(names))
+    if names and not (len(spec.factors) == 2 and all(f.nested for f in spec.factors)):
+        check_product(spec)  # a factor's profile may search for seconds: refuse the product first
+    factors, boundaries, minorants = zip(*_per_distinct(spec.factors, _solve_factor))
+    if names and len(factors) == 1:  # the factor's own boundaries hold every truth
+        truths.update((j, boundaries[0][j]) for j in names)
+    elif names:
+        floors = None if len(factors) > 2 else fibre_floor(*boundaries, max(names))
         if floors and all(f.nested for f in factors):  # F is exact: no product
             truths.update((j, floors[j]) for j in names)
         else:

@@ -3,7 +3,7 @@
 Subcommands: profile, minorant, bound, compare, verify, certify-q71,
 certify-q72.  Output is deterministic; --output json puts a single JSON
 document on stdout with diagnostics on stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage errors.
+1 verification failure, 2 usage errors, which handlers raise and run() prints.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import fields
 from .graphs import (
     SEARCH_BUDGET,
     CapExceededError,
-    Graph,
     ParseError,
     ProductSpec,
     cartesian_product,
@@ -105,15 +104,8 @@ def _pairs(doc: dict) -> list[dict]:
     return [{"key": k, "value": v} for k, v in sorted(doc.items())]
 
 
-def _target_graph(args) -> Graph:
-    """The requested graph; a single factor is used as is, never refused as a
-    product, so family atoms of any size take their closed form."""
-    spec = parse_product_spec(args.spec)
-    return spec.factors[0] if len(spec.factors) == 1 else cartesian_product(spec)
-
-
 def _cmd_profile(args) -> int:
-    g = _target_graph(args)
+    g = cartesian_product(parse_product_spec(args.spec))
     prof = resolve_profile(g, args.exhaustive)
     rows = [
         {
@@ -143,7 +135,7 @@ def _cmd_profile(args) -> int:
 def _cmd_minorant(args) -> int:
     from .minorants import regular_summary, resolve_minorants
 
-    g = _target_graph(args)
+    g = cartesian_product(parse_product_spec(args.spec))
     (psi,) = resolve_minorants([g], args.exhaustive)
     summary = None
     if g.vertex_count >= 2 and g.is_regular() and g.is_connected():
@@ -227,13 +219,11 @@ def _cmd_bound(args) -> int:
     from .minorants import resolve_minorants
 
     if (args.size is None) == (args.log_size is None):
-        print("error: pass exactly one of --size or --log-size", file=sys.stderr)
-        return 2
+        raise ValueError("pass exactly one of --size or --log-size")
     spec = parse_product_spec(args.spec)
     size = args.size
     if size is not None and size < 1:
-        print(f"error: --size must be positive, got {size}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--size must be positive, got {size}")
     log_size = math.log(size) if size is not None else parse_log_size(args.log_size)
     minorants = resolve_minorants(spec.factors)
     result = theorem_bound(minorants, log_size if size is None else None, size=size)
@@ -271,16 +261,13 @@ def _cmd_compare(args) -> int:
     spec = parse_product_spec(args.spec)
     fams = [f.family for f in spec.factors]
     if not all(fams) or len(set(fams)) != 1 or fams[0][0] not in ("path", "cycle"):
-        print("error: compare needs a homogeneous path:M^N or cycle:M^N spec", file=sys.stderr)
-        return 2
+        raise ValueError("compare needs a homogeneous path:M^N or cycle:M^N spec")
     fam, m = fams[0]
     if m < 3:
-        print(f"error: compare needs m >= 3, got {m}", file=sys.stderr)
-        return 2
+        raise ValueError(f"compare needs m >= 3, got {m}")
     n = len(spec.factors)
     if args.samples < 1:
-        print(f"error: --samples must be positive, got {args.samples}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--samples must be positive, got {args.samples}")
     if (units := args.samples * SAMPLE_UNITS) > SEARCH_BUDGET:
         raise CapExceededError(
             f"comparison of {args.samples} samples charges {units} units of work"
@@ -317,8 +304,7 @@ def _cmd_verify(args) -> int:
         try:
             ks = [int(part) for part in args.sizes.split(",") if part]
         except ValueError:
-            print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"bad --sizes {args.sizes!r}") from None
     report = verify_theorem(spec, ks)
     doc = _record(report)
     if args.output == "json":
@@ -341,7 +327,7 @@ def _cmd_certify_q71(args) -> int:
     from .certify import q71_witness
     from .minorants import resolve_minorants
 
-    g = _target_graph(args)
+    g = cartesian_product(parse_product_spec(args.spec))
     (psi,) = resolve_minorants([g])
     witness = q71_witness(g, psi, args.power)
     doc = {**_record(witness), "sizes": [str(a) for a in witness.sizes]}  # may exceed double range
@@ -366,8 +352,7 @@ def _cmd_certify_q72(args) -> int:
 
     spec = parse_product_spec(args.spec)
     if len(spec.factors) != 1:
-        print("error: certify-q72 takes a single base graph", file=sys.stderr)
-        return 2
+        raise ValueError("certify-q72 takes a single base graph")
     g = spec.factors[0]
     (psi,) = resolve_minorants([g])
     summary = regular_summary(g, psi)
@@ -462,7 +447,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"spec grammar: {GRAMMAR}", file=sys.stderr)
         return 2
-    except (CapExceededError, ValueError) as exc:
+    except ValueError as exc:  # CapExceededError and every usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,8 @@ edge boundaries and vertex-transitivity (set at construction, never detected).
 
 SEARCH_BUDGET, counted in the list elements a profile search builds, is the
 one size limit: a product is refused here, unbuilt, when a search of it could
-not even pay for its adjacency masks.
+not even pay for its adjacency masks.  This module alone decides what is a
+product: a spec of one factor never is, whatever its size.
 """
 
 from __future__ import annotations
@@ -294,9 +295,9 @@ def check_product(spec: ProductSpec) -> None:
     """Refuse a product that is built only to be searched at a size of at
     least 2: such a search first charges m(m - 1)/2 units for its adjacency
     masks, so a product whose masks alone exceed SEARCH_BUDGET is refused
-    before anything is allocated."""
+    before anything is allocated.  A lone factor is no product and passes."""
     total = spec.vertex_count
-    if (units := total * (total - 1) // 2) > SEARCH_BUDGET:
+    if len(spec.factors) > 1 and (units := total * (total - 1) // 2) > SEARCH_BUDGET:
         raise CapExceededError(
             f"product of {total} vertices charges {units} units of work for its"
             f" adjacency masks alone, over the budget of {SEARCH_BUDGET}"
@@ -304,12 +305,12 @@ def check_product(spec: ProductSpec) -> None:
 
 
 def cartesian_product(spec: ProductSpec) -> Graph:
-    """Materialize the product, once check_product admits it."""
-    check_product(spec)
+    """spec's lone factor as it is, before any check, or the product once check_product admits it."""
     factors = spec.factors
-    total = spec.vertex_count
     if len(factors) == 1:
         return factors[0]
+    check_product(spec)
+    total = spec.vertex_count
     sizes = [f.vertex_count for f in factors]
     strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]  # index = sum c_i * strides[i]
     adjacency, down = [], []

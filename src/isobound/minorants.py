@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import Graph
-from .profiles import IsoProfile, _per_distinct, _search, resolve_profile
+from .profiles import IsoProfile, _per_distinct, _search, closed_form_boundaries, resolve_profile
 
 LOG_TOL = 1e-12
 COLLINEAR_TOL = 1e-12
@@ -190,15 +190,17 @@ def _hull_first(g: Graph) -> ConvexMinorant:
 
 
 def resolve_minorants(graphs, exhaustive: bool = False) -> tuple[ConvexMinorant, ...]:
-    """One minorant per graph, equal graphs sharing one object: the hull of
-    resolve_profile(g, exhaustive), but a non-family graph's is built
-    hull-first (module docstring) unless exhaustive.  exhaustive: every
-    graph's full profile, searched uncompressed, which the closed forms and
-    the hull-first minorants can be checked against."""
+    """One minorant per graph, equal graphs sharing one object: a family's
+    from its closed_form_boundaries, any other graph's built hull-first
+    (module docstring).  exhaustive: every graph's full profile, searched
+    uncompressed, which the closed forms and the hull-first minorants can be
+    checked against."""
     def solve(g: Graph) -> ConvexMinorant:
-        if g.family is None and not exhaustive:
+        if exhaustive:
+            return build_minorant(resolve_profile(g, exhaustive))
+        if g.family is None:
             return _hull_first(g)
-        return build_minorant(resolve_profile(g, exhaustive))
+        return _hull(g.vertex_count, closed_form_boundaries(*g.family))
 
     return _per_distinct(graphs, solve)
 

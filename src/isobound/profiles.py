@@ -302,15 +302,19 @@ def profile_bruteforce(g: Graph) -> IsoProfile:
     return IsoProfile(g.vertex_count, tuple(entries))
 
 
-def profile_closed_form(family: str, m: int) -> IsoProfile:
-    """Known families without search: i_k(K_m) = m - k, i_k(P_m) = 1/k,
-    i_k(C_m) = 2/k (all for k < m; i_m = 0).  Witnesses are prefixes, which
-    are also the lexicographically smallest minimizers."""
+def closed_form_boundaries(family: str, m: int) -> dict[int, int]:
+    """{k: b(k)}, k = 1..m, on a known family with no search and no witnesses
+    (m k-bit masks, m^2 / 2 bits): k(m - k) on K_m, 1 on P_m and 2 on C_m for
+    k < m, 0 at k = m.  Hulls, the fibre floor and verify read only these."""
     boundary = family_entry(family, m).boundary
-    entries = []
-    for k in range(1, m + 1):
-        b = boundary(m, k)
-        entries.append(ProfileEntry(k, b, Fraction(b, k), VertexSet((1 << k) - 1, k)))
+    return {k: boundary(m, k) for k in range(1, m + 1)}
+
+
+def profile_closed_form(family: str, m: int) -> IsoProfile:
+    """closed_form_boundaries as a profile.  Witnesses are prefixes, which are
+    also the lexicographically smallest minimizers."""
+    entries = (ProfileEntry(k, b, Fraction(b, k), VertexSet((1 << k) - 1, k))
+               for k, b in closed_form_boundaries(family, m).items())
     return IsoProfile(m, tuple(entries))
 
 

@@ -131,10 +131,11 @@ class TestVerifyTheorem:
         assert report.ok and [e.k for e in report.entries] == list(range(1, 14))
 
     def test_oversized_product_refused_before_profiles(self, monkeypatch):
-        # a factor's profile may search for seconds; the product's masks are refused first
-        monkeypatch.setattr(certify, "resolve_profile", lambda g: pytest.fail("factors profiled"))
+        # a factor's profile may search for seconds; the product's masks are
+        # refused first.  Three factors are searched, so the check runs.
+        monkeypatch.setattr(certify, "_solve_factor", lambda g: pytest.fail("factors profiled"))
         with pytest.raises(CapExceededError, match="product of 20000 vertices charges"):
-            verify_theorem(parse_product_spec("path:20 x path:1000"), [3])
+            verify_theorem(parse_product_spec("path:20 x path:10 x path:100"), [3])
 
     def test_sampled_size_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
@@ -337,6 +338,15 @@ class TestFibreFloor:
         monkeypatch.setattr(certify, "cartesian_product", lambda spec: pytest.fail("product built"))
         report = verify_theorem(parse_product_spec("path:70^2"), [3, 50, 4897])
         assert [e.true_min_boundary for e in report.entries] == [4, 15, 4]
+        assert report.ok
+
+    def test_nested_pair_past_the_product_check(self, monkeypatch):
+        # 20,000 vertices: the product's masks alone are over the budget, but
+        # two families are nested by construction and F answers with no product
+        monkeypatch.setattr(certify, "cartesian_product", lambda spec: pytest.fail("product built"))
+        monkeypatch.setattr(certify, "check_product", lambda spec: pytest.fail("product checked"))
+        report = verify_theorem(parse_product_spec("path:20 x path:1000"), [3, 19997])
+        assert [e.true_min_boundary for e in report.entries] == [4, 4]
         assert report.ok
 
     def test_floors_cut_the_search(self, monkeypatch):

@@ -7,6 +7,7 @@ import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -386,6 +387,13 @@ class TestVerifyWithoutProduct:
         assert [e["true_min_boundary"] for e in doc["entries"]] == truths
         assert doc["ok"] is True
 
+    def test_one_factor_is_not_a_product(self, no_product, capsys):
+        # 10,000 vertices, whose masks alone are over the budget: the closed
+        # form gives the truth
+        assert run(["verify", "path:10000", "--sizes", "3", "--output", "json"]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["entries"]
+        assert entry["true_min_boundary"] == 1
+
     @pytest.mark.parametrize("spec", ["complete:2^60", "cycle:5^9", "complete:2^15", "cycle:5^7"])
     def test_all_sizes_refused_before_building(self, spec, no_product, monkeypatch, capsys):
         # 1000 units per reported size: m sizes are over the budget, refused
@@ -525,15 +533,27 @@ class TestDistinctFactors:
         assert run(["profile", "cycle:6", "--exhaustive"]) == 0
         assert searched == [6] * 5  # sizes 1..5: the whole graph takes no search
 
+    def test_family_factor_builds_no_witnesses(self, capsys):
+        # a family's hull reads its closed-form boundaries: 20,000 k-bit
+        # witness masks alone would take about 24 MiB
+        tracemalloc.start()
+        try:
+            assert run(["bound", "path:20000^2", "--size", "5"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_repeated_factor_builds_one_minorant(self, monkeypatch, capsys):
+        # a family's minorant is the hull of its closed-form boundaries
         built = []
-        original = minorants.build_minorant
+        original = minorants._hull
 
-        def counting(profile):
-            built.append(profile.graph_size)
-            return original(profile)
+        def counting(m, boundaries):
+            built.append(m)
+            return original(m, boundaries)
 
-        monkeypatch.setattr(minorants, "build_minorant", counting)
+        monkeypatch.setattr(minorants, "_hull", counting)
         assert run(["bound", "cycle:8^200 x path:3", "--log-size", "10"]) == 0
         assert built == [8, 3]
 

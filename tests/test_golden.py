@@ -76,6 +76,10 @@ ERRORS = [
     ("err_out_of_range", ["bound", "path:3", "--size", "4"], 2),
     ("err_compare_heterogeneous", ["compare", "path:3 x cycle:4"], 2),
     ("err_compare_small", ["compare", "path:2^2"], 2),
+    ("err_compare_samples", ["compare", "path:4^2", "--samples", "0"], 2),
+    ("err_bound_both_sizes", ["bound", "path:3", "--size", "2", "--log-size", "1"], 2),
+    ("err_bound_size_zero", ["bound", "path:3", "--size", "0"], 2),
+    ("err_verify_bad_sizes", ["verify", "path:3^2", "--sizes", "1,x"], 2),
     ("err_verify_all_sizes", ["verify", "complete:2^60"], 2),
     ("err_search_cap", ["profile", "file:g13.txt^2"], 2),
     # three factors are still searched: the same 4900 vertices as path:70^2

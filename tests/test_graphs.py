@@ -15,6 +15,7 @@ from isobound import (
     petersen,
 )
 
+from isobound.graphs import check_product
 from oracles import boundary_by_recount, product_vertex_set, vertex_set
 
 
@@ -217,6 +218,15 @@ class TestCartesianProduct:
     def test_single_factor_identity(self):
         g = generate("cycle", 5)
         assert cartesian_product(ProductSpec((g,))) is g
+
+    def test_single_factor_is_not_a_product(self):
+        # its masks alone would charge 49,995,000 units, but one factor is never
+        # built as a product: its closed form or its own search pays its way
+        g = generate("path", 10000)
+        check_product(ProductSpec((g,)))
+        assert cartesian_product(ProductSpec((g,))) is g
+        with pytest.raises(CapExceededError, match="product of 20000 vertices charges"):
+            check_product(ProductSpec((g, generate("path", 2))))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_edge_count_formula(self, seed):
