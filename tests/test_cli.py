@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -350,6 +351,22 @@ class TestVerifyCommand:
         assert run(["verify", "path:5^4", "--sizes", "3", "--output", "json"]) == 0
         (entry,) = json.loads(capsys.readouterr().out)["entries"]
         assert entry["true_min_boundary"] == 10
+
+    @pytest.mark.parametrize("output", ["human", "json"])
+    def test_bound_above_truth_fails(self, output, monkeypatch, capsys):
+        # the truth at size 2 of path:3^2 is 3; a bound of 4.5 exceeds it
+        monkeypatch.setattr(certify, "theorem_bound", lambda *a, **k: SimpleNamespace(bound_total=4.5))
+        assert run(["verify", "path:3^2", "--sizes", "2", "--output", output]) == 1
+        out = capsys.readouterr().out
+        if output == "json":
+            doc = json.loads(out)
+            assert doc["ok"] is False
+            assert doc["entries"][0]["gap"] == -1.5
+        else:
+            assert out.splitlines()[-2:] == [
+                "  k=2 truth=3 bound=4.5 gap=-1.5",
+                "FAIL: bound exceeded the true minimum",
+            ]
 
     def test_bad_sizes(self, capsys):
         assert run(["verify", "path:3^2", "--sizes", "1,x"]) == 2

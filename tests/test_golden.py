@@ -66,8 +66,6 @@ CASES = [
     ("q72_cycle7_eps1e-6", ["certify-q72", "cycle:7", "--eps-start", "1e-6"], 0),
 ]
 
-HUMAN = {"profile", "bound"}
-
 # errors keep their exit code and message
 ERRORS = [
     ("err_unknown_family", ["profile", "star:5"], 2),
@@ -95,8 +93,7 @@ ERRORS = [
 
 def _expand():
     for name, argv, code in CASES:
-        outputs = ["json", "csv"] + (["human"] if argv[0] in HUMAN else [])
-        for fmt in outputs:
+        for fmt in ("json", "csv", "human"):
             yield f"{name}.{fmt}", argv + ["--output", fmt], code
     yield from ERRORS
 
