@@ -42,7 +42,8 @@ import sys
 from dataclasses import dataclass, replace
 
 from .allocation import TIGHT_REL_TOL, theorem_bound
-from .graphs import SEARCH_BUDGET, CapExceededError, Graph, ProductSpec, cartesian_product, check_product
+from .graphs import (SEARCH_BUDGET, CapExceededError, CertificateSearchError, Graph, ProductSpec,
+                     cartesian_product, check_product)
 from .minorants import ConvexMinorant, RegularSummary, _hull
 from .profiles import (IsoProfile, _per_distinct, _search_sizes, closed_form_boundaries, fibre_floor,
                        nested_boundary, resolve_profile)
@@ -323,7 +324,7 @@ def q72_certificate(
                     rhs=rhs,
                 )
         eps /= 2.0
-    raise ValueError(
+    raise CertificateSearchError(
         f"certificate search failed: no (s, t) with t <= {T_MAX} satisfied the"
         f" inequalities for any eps down to {EPS_FLOOR}"
     )

@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: profile, minorant, bound, compare, verify, certify-q71,
-certify-q72.  Output is deterministic; --output json puts a single JSON
-document on stdout with diagnostics on stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage errors, which handlers raise and run() prints.
+certify-q72.  Handlers only compute: each takes the parsed spec and returns
+its JSON document, CSV records and human lines.  run() does the I/O: it
+parses the spec, writes the format asked for (--output json puts a single
+JSON document on stdout) and sets the exit code: 0 on success; 1 when verify
+finds a bound above the truth or certify-q72's search finds no certificate;
+2 for a usage error, a malformed spec or a request over the search budget,
+with an error line on stderr.  Output is deterministic.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import fields
 from .graphs import (
     SEARCH_BUDGET,
     CapExceededError,
+    CertificateSearchError,
     ParseError,
     ProductSpec,
     cartesian_product,
@@ -72,10 +77,6 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
 def _record(x):
     """A dataclass as a dict of its fields in declaration order, recursively;
     tuples become lists.  Every JSON and CSV output is built from these."""
@@ -92,20 +93,18 @@ def _csv_field(c) -> str:
     return '"' + text.replace('"', '""') + '"' if any(ch in text for ch in ',"\r\n') else text
 
 
-def _emit_csv(records) -> None:
-    """One row per record, under the first record's keys."""
-    print(",".join(map(_csv_field, records[0])))
-    for r in records:
-        print(",".join(map(_csv_field, r.values())))
-
-
 def _pairs(doc: dict) -> list[dict]:
     """A flat document as sorted key/value records, for CSV."""
     return [{"key": k, "value": v} for k, v in sorted(doc.items())]
 
 
-def _cmd_profile(args) -> int:
-    g = cartesian_product(parse_product_spec(args.spec))
+# Each _cmd_* takes the parsed spec and the parsed arguments and returns
+# (JSON document, CSV records, human lines); the lines are a generator, so
+# only a human run formats them.  run() writes the format asked for.
+
+
+def _cmd_profile(spec: ProductSpec, args):
+    g = cartesian_product(spec)
     prof = resolve_profile(g, args.exhaustive)
     rows = [
         {
@@ -117,45 +116,42 @@ def _cmd_profile(args) -> int:
         }
         for e in prof.entries
     ]
-    if args.output == "csv":
-        _emit_csv(rows)
-    elif args.output == "json":
-        _emit_json({"graph": g.label, "vertex_count": prof.graph_size, "profile": rows})
-    else:
-        print(f"profile of {g.label} ({prof.graph_size} vertices)")
+
+    def lines():
+        yield f"profile of {g.label} ({prof.graph_size} vertices)"
         for e in prof.entries:
-            print(
+            yield (
                 f"  k={e.k} min_boundary={e.min_boundary}"
                 f" i_k={e.ratio.numerator}/{e.ratio.denominator}"
                 f" witness={{{','.join(map(str, e.witness.members()))}}}"
             )
-    return 0
+
+    return {"graph": g.label, "vertex_count": prof.graph_size, "profile": rows}, rows, lines()
 
 
-def _cmd_minorant(args) -> int:
+def _cmd_minorant(spec: ProductSpec, args):
     from .minorants import regular_summary, resolve_minorants
 
-    g = cartesian_product(parse_product_spec(args.spec))
+    g = cartesian_product(spec)
     (psi,) = resolve_minorants([g], args.exhaustive)
     summary = None
     if g.vertex_count >= 2 and g.is_regular() and g.is_connected():
         summary = regular_summary(g, psi)
     doc = _record(psi)
-    if args.output == "json":
-        _emit_json({**doc, "graph": g.label, "regular_summary": _record(summary)})
-    elif args.output == "csv":
-        _emit_csv(doc["breakpoints"])
-    else:
-        print(f"convex minorant of {g.label}: domain [0, {_fmt(psi.domain_end)}]")
+
+    def lines():
+        yield f"convex minorant of {g.label}: domain [0, {_fmt(psi.domain_end)}]"
         for b in psi.breakpoints:
-            print(f"  k={b.k} x={_fmt(b.x)} y={_fmt(b.y)}")
+            yield f"  k={b.k} x={_fmt(b.x)} y={_fmt(b.y)}"
         if summary is not None:
-            print(
+            yield (
                 f"regular summary: degree={summary.degree} k_star={summary.k_star}"
                 f" y_intercept={_fmt(summary.y_intercept)}"
                 f" chord_slope={_fmt(summary.chord_slope)}"
             )
-    return 0
+
+    json_doc = {**doc, "graph": g.label, "regular_summary": _record(summary)}
+    return json_doc, doc["breakpoints"], lines()
 
 
 def _closed_form_reports(spec: ProductSpec, minorants, log_size, size) -> list:
@@ -214,13 +210,12 @@ def _closed_form_reports(spec: ProductSpec, minorants, log_size, size) -> list:
     return reports
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(spec: ProductSpec, args):
     from .allocation import theorem_bound
     from .minorants import resolve_minorants
 
     if (args.size is None) == (args.log_size is None):
         raise ValueError("pass exactly one of --size or --log-size")
-    spec = parse_product_spec(args.spec)
     size = args.size
     if size is not None and size < 1:
         raise ValueError(f"--size must be positive, got {size}")
@@ -229,36 +224,34 @@ def _cmd_bound(args) -> int:
     result = theorem_bound(minorants, log_size if size is None else None, size=size)
     reports = _closed_form_reports(spec, minorants, log_size, size)
     theorem, closed = _record(result), [_record(r) for r in reports]
-    if args.output == "json":
-        doc = {"spec": args.spec, "size": size, "log_size": log_size}
-        _emit_json({**doc, "theorem": theorem, "closed_forms": closed})
-    elif args.output == "csv":
-        named = [("theorem", theorem)] + [(r["family"], r) for r in closed]
-        keys = ("bound_per_vertex", "bound_total")
-        _emit_csv([{"name": name, **{k: r[k] for k in keys}} for name, r in named])
-    else:
-        print(f"bound for {spec.label()} at log size {_fmt(log_size)}")
+    named = [("theorem", theorem)] + [(r["family"], r) for r in closed]
+    keys = ("bound_per_vertex", "bound_total")
+    records = [{"name": name, **{k: r[k] for k in keys}} for name, r in named]
+
+    def lines():
+        yield f"bound for {spec.label()} at log size {_fmt(log_size)}"
         line = f"theorem: {_fmt(result.bound_per_vertex)} per vertex"
         if result.bound_total is not None:
             line += f", {_fmt(result.bound_total)} total"
-        print(line)
-        print(f"  allocation: ({', '.join(_fmt(h) for h in result.allocation)})")
+        yield line
+        yield f"  allocation: ({', '.join(_fmt(h) for h in result.allocation)})"
         for r in reports:
             line = f"{r.family}: {_fmt(r.bound_per_vertex)} per vertex"
             if r.bound_total is not None:
                 line += f", {_fmt(r.bound_total)} total"
-            print(line)
+            yield line
             if r.comparison is not None:
                 ratio = r.comparison["ratio"]
-                print(
+                yield (
                     f"  power-of-r benchmark: {_fmt(r.comparison['bl_per_vertex'])}"
                     f" (ratio {'n/a' if ratio is None else _fmt(ratio)})"
                 )
-    return 0
+
+    doc = {"spec": args.spec, "size": size, "log_size": log_size}
+    return {**doc, "theorem": theorem, "closed_forms": closed}, records, lines()
 
 
-def _cmd_compare(args) -> int:
-    spec = parse_product_spec(args.spec)
+def _cmd_compare(spec: ProductSpec, args):
     fams = [f.family for f in spec.factors]
     if not all(fams) or len(set(fams)) != 1 or fams[0][0] not in ("path", "cycle"):
         raise ValueError("compare needs a homogeneous path:M^N or cycle:M^N spec")
@@ -284,21 +277,18 @@ def _cmd_compare(args) -> int:
         ours = ours_fn(n, m, x)
         bl = bl_bound(n, m, x, torus=torus)
         rows.append({"log_size": x, "ours": ours, "bl": bl, "ratio": bl / ours})
-    if args.output == "json":
-        _emit_json({"spec": args.spec, "rows": rows})
-    elif args.output == "csv":
-        _emit_csv(rows)
-    else:  # human output shows the csv table, aligned
-        print(f"{'log_size':>14} {'ours':>14} {'bl':>14} {'ratio':>10}")
+
+    def lines():  # the csv table, aligned
+        yield f"{'log_size':>14} {'ours':>14} {'bl':>14} {'ratio':>10}"
         for r in rows:
-            print(f"{r['log_size']:14.6f} {r['ours']:14.6f} {r['bl']:14.6f} {r['ratio']:10.6f}")
-    return 0
+            yield f"{r['log_size']:14.6f} {r['ours']:14.6f} {r['bl']:14.6f} {r['ratio']:10.6f}"
+
+    return {"spec": args.spec, "rows": rows}, rows, lines()
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(spec: ProductSpec, args):
     from .certify import verify_theorem
 
-    spec = parse_product_spec(args.spec)
     ks = None
     if args.sizes is not None:
         try:
@@ -307,50 +297,45 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"bad --sizes {args.sizes!r}") from None
     report = verify_theorem(spec, ks)
     doc = _record(report)
-    if args.output == "json":
-        _emit_json({**doc, "ok": report.ok})
-    elif args.output == "csv":
-        _emit_csv(doc["entries"])
-    else:
-        print(f"verification of {report.description}")
+
+    def lines():
+        yield f"verification of {report.description}"
         for e in report.entries:
             mark = "tight" if e.tight else ""
-            print(
+            yield (
                 f"  k={e.k} truth={e.true_min_boundary}"
                 f" bound={_fmt(e.bound_total)} gap={_fmt(e.gap)} {mark}".rstrip()
             )
-        print("OK" if report.ok else "FAIL: bound exceeded the true minimum")
-    return 0 if report.ok else 1
+        yield "OK" if report.ok else "FAIL: bound exceeded the true minimum"
+
+    return {**doc, "ok": report.ok}, doc["entries"], lines()
 
 
-def _cmd_certify_q71(args) -> int:
+def _cmd_certify_q71(spec: ProductSpec, args):
     from .certify import q71_witness
     from .minorants import resolve_minorants
 
-    g = cartesian_product(parse_product_spec(args.spec))
+    g = cartesian_product(spec)
     (psi,) = resolve_minorants([g])
     witness = q71_witness(g, psi, args.power)
     doc = {**_record(witness), "sizes": [str(a) for a in witness.sizes]}  # may exceed double range
-    if args.output == "json":
-        _emit_json(doc)
-    elif args.output == "csv":
-        _emit_csv(_pairs(doc))
-    else:
-        print(f"nonlinearity witness for {g.label}^{witness.power}")
+
+    def lines():
+        yield f"nonlinearity witness for {g.label}^{witness.power}"
         for k, a, e in zip(witness.ks, witness.sizes, witness.exact_per_vertex):
-            print(f"  size {a} (= {k}^{witness.power}): exact {_fmt(e)} per vertex")
-        print(
+            yield f"  size {a} (= {k}^{witness.power}): exact {_fmt(e)} per vertex"
+        yield (
             f"  affine interpolation at the middle size gives"
             f" {_fmt(witness.interpolated_mid)}; residual {_fmt(witness.residual)}"
         )
-    return 0
+
+    return doc, _pairs(doc), lines()
 
 
-def _cmd_certify_q72(args) -> int:
+def _cmd_certify_q72(spec: ProductSpec, args):
     from .certify import SlabsOptimalError, q72_certificate
     from .minorants import regular_summary, resolve_minorants
 
-    spec = parse_product_spec(args.spec)
     if len(spec.factors) != 1:
         raise ValueError("certify-q72 takes a single base graph")
     g = spec.factors[0]
@@ -361,33 +346,19 @@ def _cmd_certify_q72(args) -> int:
     except SlabsOptimalError as exc:
         doc = {"slabs_optimal": True, "degree": summary.degree, "y_intercept": summary.y_intercept,
                "message": str(exc)}
-        if args.output == "json":
-            _emit_json(doc)
-        elif args.output == "csv":
-            _emit_csv(_pairs(doc))
-        else:
-            print(f"{exc}")
-        return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return doc, _pairs(doc), [str(exc)]
     doc = _record(cert)
-    if args.output == "json":
-        _emit_json({**doc, "slabs_optimal": False})
-    elif args.output == "csv":
-        _emit_csv(_pairs(doc))
-    else:
-        print(f"slab counterexample certificate for {g.label}")
-        print(
-            f"  k_star={cert.k_star} y_intercept={_fmt(cert.y_intercept)}"
-            f" < degree={cert.degree}"
-        )
-        print(
+
+    def lines():
+        yield f"slab counterexample certificate for {g.label}"
+        yield f"  k_star={cert.k_star} y_intercept={_fmt(cert.y_intercept)} < degree={cert.degree}"
+        yield (
             f"  eps={_fmt(cert.epsilon)} s={cert.s} t={cert.t}"
             f" approx_error={_fmt(cert.approx_error)}"
         )
-        print(f"  lhs={_fmt(cert.lhs)} < rhs={_fmt(cert.rhs)} (normalized per m^t)")
-    return 0
+        yield f"  lhs={_fmt(cert.lhs)} < rhs={_fmt(cert.rhs)} (normalized per m^t)"
+
+    return {**doc, "slabs_optimal": False}, _pairs(doc), lines()
 
 
 @functools.cache  # built on first use; parse_args keeps no state on it
@@ -442,14 +413,21 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
-    except ParseError as exc:
+        doc, records, lines = args.handler(parse_product_spec(args.spec), args)
+        if args.output == "json":
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        elif args.output == "csv":  # one row per record, under the first record's keys
+            for row in (records[0], *(r.values() for r in records)):
+                print(",".join(map(_csv_field, row)))
+        else:
+            for line in lines:
+                print(line)
+    except ValueError as exc:  # ParseError, CapExceededError, every usage error
         print(f"error: {exc}", file=sys.stderr)
-        print(f"spec grammar: {GRAMMAR}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # CapExceededError and every usage error
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, ParseError):
+            print(f"spec grammar: {GRAMMAR}", file=sys.stderr)
+        return 1 if isinstance(exc, CertificateSearchError) else 2
+    return 0 if doc.get("ok", True) else 1  # only verify's document has "ok"
 
 
 def main() -> None:

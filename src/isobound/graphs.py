@@ -35,6 +35,10 @@ class CapExceededError(ValueError):
     """A product or a profile search over the search budget."""
 
 
+class CertificateSearchError(ValueError):
+    """A certificate search ended without a certificate, though one may exist."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph; adjacency[v] is sorted."""

@@ -357,7 +357,9 @@ def fibre_floor(b_g, b_h, top: int) -> tuple[int, ...]:
     less u b_g[i], which a prefix minimum over u gives.  That is a (b + 1)
     (top + 1) steps, G and H swapped when that is cheaper (F is symmetric).
     The count is charged in closed form: over SEARCH_BUDGET, it is refused
-    before anything is allocated."""
+    before anything is allocated.  One (top + 1) x (b + 1) table is kept:
+    each row is turned into its prefix minima in place, then rebuilt from
+    s = top down to 0."""
     a, b = len(b_g) - 1, len(b_h) - 1
     if not 0 <= top <= a * b:
         raise ValueError(f"size {top} outside 0..{a * b}")
@@ -373,9 +375,10 @@ def fibre_floor(b_g, b_h, top: int) -> tuple[int, ...]:
     cost = [[0] + [inf] * b] + [[inf] * (b + 1) for _ in range(top)]
     for i in range(a, 0, -1):
         g = b_g[i]
-        below = [list(accumulate((c - u * g for u, c in enumerate(r)), min)) for r in cost]
-        cost = [[b_h[v] + v * g + below[s - v][v] for v in range(min(s, b) + 1)] + [inf] * (b - min(s, b))
-                for s in range(top + 1)]
+        for r in cost:  # in place: r[u] becomes the least c - u' g over u' <= u
+            r[:] = accumulate((c - u * g for u, c in enumerate(r)), min)
+        for s in range(top, -1, -1):  # row s reads rows s - v <= s, none rebuilt yet
+            cost[s] = [b_h[v] + v * g + cost[s - v][v] for v in range(min(s, b) + 1)] + [inf] * (b - min(s, b))
     return tuple(min(r) for r in cost)
 
 

@@ -323,6 +323,19 @@ class TestFibreFloor:
             tracemalloc.stop()
         assert peak < 20_000  # the DP's first table alone holds 201 lists of 51 entries
 
+    def test_keeps_one_table(self):
+        # 291 rows of 301 entries: about 1.4 MiB of list slots and new ints
+        # per table, so a second or third table alive at once goes over
+        b_g, b_h = boundaries(generate("path", 2)), boundaries(generate("path", 300))
+        tracemalloc.start()
+        try:
+            floors = fibre_floor(b_g, b_h, 290)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert floors[290] == 2
+        assert peak < 2.5 * 2**20
+
     def test_verify_refuses_before_building(self, monkeypatch):
         # F up to size 9 of P4 x P5 charges 4 * 6 * 10 = 240 units, before any product
         monkeypatch.setattr(certify, "cartesian_product", lambda spec: pytest.fail("product built"))
